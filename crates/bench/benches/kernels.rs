@@ -88,8 +88,8 @@ fn bench_reference(c: &mut Criterion) {
 }
 
 fn bench_exec_engine(c: &mut Criterion) {
-    use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
-    use mpc_exec::{adapters, ExecMode};
+    use mpc_core::ported::connectivity::sketch_friendly_config;
+    use mpc_exec::{registry, AlgoInput, ExecMode};
 
     let mut group = c.benchmark_group("exec_engine");
     group.sample_size(10);
@@ -102,16 +102,8 @@ fn bench_exec_engine(c: &mut Criterion) {
             b.iter(|| {
                 let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
                 let input = mpc_core::common::distribute_edges(&cluster, &g);
-                black_box(
-                    adapters::heterogeneous_connectivity(
-                        &mut cluster,
-                        g.n(),
-                        &input,
-                        &ConnectivityConfig::for_n(g.n()),
-                        mode,
-                    )
-                    .unwrap(),
-                )
+                let input = AlgoInput::new(g.n(), &input);
+                black_box(registry::run("connectivity", &mut cluster, &input, mode).unwrap())
             })
         });
     }

@@ -22,9 +22,9 @@
 
 use crate::Table;
 use mpc_core::common;
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_exec::pool::PoolStats;
-use mpc_exec::{ConnectivityProgram, ExecMode, Executor, MachineCtx, MachineProgram, StepOutcome};
+use mpc_exec::{AlgoInput, ExecMode, Executor, MachineCtx, MachineProgram, RunReport, StepOutcome};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig, FaultPlan, MachineId, RingSink, Topology};
 use std::sync::Arc;
@@ -136,19 +136,23 @@ fn time_connectivity(mode: ExecMode, g: &mpc_graph::Graph, seed: u64) -> (Durati
     let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
     let edges = common::distribute_edges(&cluster, g);
     let started = std::time::Instant::now();
-    let programs = ConnectivityProgram::for_cluster(
-        &cluster,
-        g.n(),
-        &edges,
-        &ConnectivityConfig::for_n(g.n()),
-    );
-    let out = Executor::new("conn", mode)
-        .threads(WORKERS)
-        .run(&mut cluster, programs)
-        .expect("connectivity run");
-    let large = cluster.large().expect("heterogeneous topology");
-    let comps = out.programs[large].result.as_ref().expect("components");
-    (started.elapsed(), comps.count as u64, out.rounds)
+    let comps = run_connectivity(&mut cluster, g, &edges, mode);
+    (started.elapsed(), comps.count as u64, cluster.rounds())
+}
+
+/// Registry connectivity pinned to [`WORKERS`] pool threads.
+fn run_connectivity(
+    cluster: &mut Cluster,
+    g: &mpc_graph::Graph,
+    edges: &mpc_runtime::ShardedVec<mpc_graph::Edge>,
+    mode: ExecMode,
+) -> mpc_graph::traversal::Components {
+    let connectivity = mpc_exec::registry::get("connectivity").expect("registered algorithm");
+    connectivity
+        .run(cluster, &AlgoInput::new(g.n(), edges), mode, WORKERS)
+        .expect("connectivity run")
+        .into_components()
+        .expect("components")
 }
 
 /// One timed registry run (MST / matching end-to-end programs); returns
@@ -213,19 +217,12 @@ fn instrument_ripple(k: usize, rounds: u64, small_work: u64) -> (f64, f64) {
 /// One instrumented (untimed) pooled connectivity run.
 fn instrument_connectivity(g: &mpc_graph::Graph, seed: u64) -> (f64, f64) {
     let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
-    observe(&mut cluster);
+    let ring = Arc::new(RingSink::unbounded());
+    cluster.set_trace_sink(Some(ring.clone()));
     let edges = common::distribute_edges(&cluster, g);
-    let programs = ConnectivityProgram::for_cluster(
-        &cluster,
-        g.n(),
-        &edges,
-        &ConnectivityConfig::for_n(g.n()),
-    );
-    let out = Executor::new("conn", ExecMode::Parallel)
-        .threads(WORKERS)
-        .run(&mut cluster, programs)
-        .expect("connectivity run");
-    stats_columns(out.pool)
+    run_connectivity(&mut cluster, g, &edges, ExecMode::Parallel);
+    let report = RunReport::from_events("connectivity", ring.take(), cluster.cost_model());
+    stats_columns(report.pool)
 }
 
 /// One instrumented (untimed) pooled registry run, via `run_with_report`

@@ -401,20 +401,28 @@ pub struct WeightClasses {
     pub shards: Vec<(usize, ShardedVec<Edge>)>,
 }
 
-/// Splits `edges` into factor-2 weight classes (see [`WeightClasses`]).
+/// The factor-2 weight class of an edge weight: class `c` holds the
+/// weights `[2^c, 2^(c+1) − 1]`, and a zero weight joins class 0 with
+/// `w = 1` (it is below every other class, and dropping it would
+/// disconnect the spanner).
+pub fn weight_class(w: u64) -> usize {
+    (u64::BITS - 1 - w.max(1).leading_zeros()) as usize
+}
+
+/// Splits `edges` into factor-2 weight classes (see [`WeightClasses`] and
+/// [`weight_class`]).
 pub fn weight_class_shards(edges: &ShardedVec<Edge>) -> WeightClasses {
-    let max_w = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1).max(1);
-    let total = (max_w as f64).log2().floor() as usize + 1;
+    let max_w = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1);
+    let total = weight_class(max_w) + 1;
     let mut shards = Vec::new();
     for c in 0..total {
-        let (lo, hi) = (1u64 << c, (1u64 << (c + 1)) - 1);
         let class_edges: ShardedVec<Edge> = ShardedVec::from_shards(
             (0..edges.machines())
                 .map(|mid| {
                     edges
                         .shard(mid)
                         .iter()
-                        .filter(|e| (lo..=hi).contains(&e.w))
+                        .filter(|e| weight_class(e.w) == c)
                         .copied()
                         .collect()
                 })

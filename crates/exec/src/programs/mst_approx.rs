@@ -17,7 +17,7 @@
 //!   [multi-program scheduler](crate::multiplex): the **default** path runs
 //!   all waves interleaved in one engine run (`O(1)` combined rounds, the
 //!   paper's parallel figure), with the per-wave seeds pre-drawn by the
-//!   batched adapter in the legacy threshold order so results *and* RNG
+//!   batched registry runner in the legacy threshold order so results *and* RNG
 //!   stream positions stay bit-identical to the sequential composition;
 //! * [`MstApproxProgram`] — the PR 4 sequential composition (one wave
 //!   after another inside a single program), kept as the equivalence
@@ -160,7 +160,7 @@ impl MstApproxProgram {
 /// large machine — three combined rounds for *every* threshold at once.
 ///
 /// The sketch seed is baked in at construction (pre-drawn by the batched
-/// adapter from the large machine's stream, one per threshold in ascending
+/// registry runner from the large machine's stream, one per threshold in ascending
 /// threshold order — exactly the legacy draw order), so the instance draws
 /// nothing at run time and the per-machine RNG positions after the batched
 /// run equal the sequential composition's.

@@ -10,37 +10,54 @@
 //! `registry` bench experiment fails if a registered program stops
 //! producing legacy-identical results.
 //!
-//! | name | paper result | program |
-//! |------|--------------|---------|
-//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`](crate::programs::ConnectivityProgram) |
-//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`](crate::programs::BoruvkaProgram) |
-//! | `mst`          | Thm 3.1 | [`MstProgram`](crate::programs::MstProgram) |
-//! | `matching`     | Thm 5.1 | [`MatchingProgram`](crate::programs::MatchingProgram) |
-//! | `spanner`      | Thm 4.1 | [`SpannerProgram`](crate::programs::SpannerProgram) |
-//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`](crate::programs::SpannerProgram), [multiplexed](crate::multiplex) |
-//! | `apsp`         | Cor 4.2 | `k = ⌈log₂ n⌉` spanner run, oracle indexed on the large machine |
-//! | `mst-approx`   | Thm C.2 | per-wave [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) |
-//! | `mincut`       | Thm C.3 | [`MinCutProgram`](crate::programs::MinCutProgram) |
-//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex) |
-//! | `mis`          | Thm C.6 | [`MisProgram`](crate::programs::MisProgram) |
-//! | `coloring`     | Thm C.7 | [`ColoringProgram`](crate::programs::ColoringProgram) |
+//! Each name has one *recipe*: a function that builds the per-machine
+//! programs of its single-wave form and reads the result back off the
+//! large machine's final program. Two generic drivers consume it — a typed
+//! solo run on the [`Executor`](crate::Executor) (messages stay unboxed),
+//! and type-erased lanes for the [service](crate::service)'s mixed wave.
+//! Three solo-only compositions, with no single-wave form, are the only
+//! other runners; [`JobParams::batch_instances`] selects them.
+//!
+//! | name | paper result | single-wave recipe | solo-only composition |
+//! |------|--------------|--------------------|-----------------------|
+//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`](crate::programs::ConnectivityProgram) | |
+//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`](crate::programs::BoruvkaProgram) | |
+//! | `mst`          | Thm 3.1 | [`MstProgram`](crate::programs::MstProgram) | |
+//! | `matching`     | Thm 5.1 | [`MatchingProgram`](crate::programs::MatchingProgram) | |
+//! | `spanner`      | Thm 4.1 | [`SpannerProgram`](crate::programs::SpannerProgram) | |
+//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`](crate::programs::SpannerProgram), [multiplexed](crate::multiplex) | one pass per class (sequential) |
+//! | `apsp`         | Cor 4.2 | `k = ⌈log₂ n⌉` spanner (weighted: as `spanner-weighted`), oracle indexed on the large machine | weighted: one pass per class (sequential) |
+//! | `mst-approx`   | Thm C.2 | [`MstApproxProgram`](crate::programs::MstApproxProgram) | per-wave [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) (batched) |
+//! | `mincut`       | Thm C.3 | [`MinCutProgram`](crate::programs::MinCutProgram) | |
+//! | `mincut-approx` | Thm C.4 | [`MinCutApproxProgram`](crate::programs::MinCutApproxProgram) | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex), plus fallback pass (batched) |
+//! | `mis`          | Thm C.6 | [`MisProgram`](crate::programs::MisProgram) | |
+//! | `coloring`     | Thm C.7 | [`ColoringProgram`](crate::programs::ColoringProgram) | |
 
-use crate::adapters;
-use crate::driver::{ExecError, ExecMode};
+use crate::combinators::Driven;
+use crate::driver::{ExecError, ExecMode, Executor};
+use crate::machine::MachineProgram;
+use crate::mixed::{downcast_program, erase, ErasedProgram};
+use crate::multiplex::{CapacityFactor, Multiplexed};
+use crate::programs::{
+    BoruvkaProgram, ColoringProgram, ConnectivityProgram, GuessOutcome, MatchingProgram,
+    MinCutApproxProgram, MinCutGuessWave, MinCutProgram, MisProgram, MstApproxProgram,
+    MstApproxWave, MstProgram, SpannerProgram, XCutFallback,
+};
 use mpc_core::matching::MatchingResult;
 use mpc_core::mst::{MstConfig, MstResult};
 use mpc_core::ported::coloring::ColoringResult;
 use mpc_core::ported::connectivity::ConnectivityConfig;
-use mpc_core::ported::mincut_approx::ApproxMinCut;
+use mpc_core::ported::mincut_approx::{ApproxMinCut, SkeletonVerdict};
 use mpc_core::ported::mincut_exact::MinCutResult;
 use mpc_core::ported::mis::MisResult;
 use mpc_core::ported::mst_approx::MstApprox;
 use mpc_core::spanner::apsp::ApspOracle;
-use mpc_core::spanner::SpannerResult;
+use mpc_core::spanner::{merge_class_results, weight_class_shards, SpannerResult};
 use mpc_graph::mst::Forest;
 use mpc_graph::traversal::Components;
 use mpc_graph::{Edge, Graph};
-use mpc_runtime::{Cluster, ShardedVec};
+use mpc_runtime::{Cluster, MachineId, ShardedVec};
+use rand::Rng;
 use std::sync::Arc;
 
 /// Every tuning knob a registered algorithm reads, gathered in one place
@@ -63,8 +80,10 @@ pub struct JobParams {
     /// Whether the sequentialized-parallel workloads (`spanner-weighted`,
     /// `mst-approx`, `mincut-approx`) interleave their instances through
     /// the [multi-program scheduler](crate::multiplex) (the default), or
-    /// run them one after another (the PR 4 composition, kept as the
+    /// run them one after another (the composition kept as the
     /// equivalence oracle — see [`JobParams::sequential_instances`]).
+    /// Affects solo runs only: a [service](crate::service) lane always
+    /// runs the name's single-wave form.
     pub batch_instances: bool,
 }
 
@@ -86,7 +105,7 @@ impl Default for JobParams {
 
 impl JobParams {
     /// Runs the sequentialized-parallel workloads one instance at a time
-    /// (the PR 4 equivalence oracle) instead of batching them through the
+    /// (the equivalence oracle) instead of batching them through the
     /// multi-program scheduler.
     pub fn sequential_instances(mut self) -> Self {
         self.batch_instances = false;
@@ -489,8 +508,9 @@ impl AlgoOutput {
     }
 }
 
-/// A registered algorithm: a name, its paper anchor, and an engine-backed
-/// runner.
+/// A registered algorithm: a name, its paper anchor, and its recipe — the
+/// one place that builds its per-machine programs and reads its result
+/// back, for solo runs and service lanes alike.
 pub struct Algorithm {
     /// Registry name (the `run` lookup key).
     pub name: &'static str,
@@ -510,22 +530,110 @@ pub struct Algorithm {
     /// `a·⌈log₂log₂n⌉ + b` cap. The `budgets` bench experiment (a CI gate)
     /// fails the build when a run exceeds it.
     pub round_budget: fn(n: usize) -> u64,
-    runner: fn(&mut Cluster, &AlgoInput<'_>, ExecMode) -> Result<AlgoOutput, ExecError>,
+    recipe: fn(&Cluster, &AlgoInput<'_>) -> Recipe,
 }
 
 impl Algorithm {
-    /// Runs this algorithm on `cluster` in the given mode.
+    /// Runs this algorithm on `cluster` in the given mode. `threads` caps
+    /// the worker pool of [`ExecMode::Parallel`] runs (0 = the
+    /// [`Executor`] default); results never depend on it.
     ///
     /// # Errors
     ///
-    /// See [`ExecError`].
+    /// [`ExecError::Algorithm`] for parameters out of range, a cluster
+    /// without a large machine or without small machines, or input edges
+    /// not sharded over the small machines; otherwise see [`ExecError`].
     pub fn run(
         &self,
         cluster: &mut Cluster,
         input: &AlgoInput<'_>,
         mode: ExecMode,
+        threads: usize,
     ) -> Result<AlgoOutput, ExecError> {
-        (self.runner)(cluster, input, mode)
+        self.check(&input.params)?;
+        let large = large_machine(cluster)?;
+        if input.edges.machines() != cluster.machines() || !input.edges.shard(large).is_empty() {
+            return Err(algorithm_error(
+                "the input must be sharded over the cluster's small machines",
+            ));
+        }
+        match (self.name, input.params.batch_instances) {
+            ("mst-approx", true) => batched_mst_approx(cluster, large, input, mode, threads),
+            ("mincut-approx", true) => batched_mincut_approx(cluster, large, input, mode, threads),
+            ("spanner-weighted", false) => {
+                let k = input.params.spanner_k;
+                sequential_weighted_spanner(cluster, large, input, k, mode, threads)
+                    .map(AlgoOutput::Spanner)
+            }
+            ("apsp", false) if is_weighted(input.edges) => {
+                let k = ApspOracle::stretch_parameter(input.n);
+                sequential_weighted_spanner(cluster, large, input, k, mode, threads)
+                    .map(|spanner| apsp(spanner, 12 * k - 1))
+            }
+            _ => match (self.recipe)(cluster, input) {
+                Recipe::Wave(wave) => wave.solo(cluster, large, mode, threads),
+                Recipe::Done(output) => Ok(*output),
+            },
+        }
+    }
+
+    /// The job's single-wave form as type-erased [`MixedWave`] lanes —
+    /// what the [service](crate::service) admits. `batch_instances` does
+    /// not apply: a lane is always the recipe's single wave. The caller
+    /// has checked the parameters ([`Algorithm::check`]) and the cluster
+    /// shape ([`large_machine`]).
+    ///
+    /// [`MixedWave`]: crate::MixedWave
+    pub(crate) fn lane(&self, spec: &JobSpec, cluster: &Cluster) -> Recipe<Lane> {
+        // The constructors snapshot solo capacities.
+        debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
+        let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
+        let input = AlgoInput {
+            n: spec.graph.n(),
+            edges: &edges,
+            params: spec.params.clone(),
+        };
+        match (self.recipe)(cluster, &input) {
+            Recipe::Wave(wave) => Recipe::Wave(wave.lane()),
+            Recipe::Done(output) => Recipe::Done(output),
+        }
+    }
+
+    /// Rejects parameters this algorithm's programs cannot run with.
+    pub(crate) fn check(&self, params: &JobParams) -> Result<(), ExecError> {
+        let eps = params.epsilon;
+        let problem = match self.name {
+            "spanner" | "spanner-weighted" if params.spanner_k < 2 => {
+                format!("spanner_k must be at least 2, got {}", params.spanner_k)
+            }
+            "mincut-approx" if !(eps > 0.0 && eps < 1.0) => {
+                format!("epsilon must lie in (0, 1), got {eps}")
+            }
+            "mst-approx" if !(eps.is_finite() && eps > 0.0) => {
+                format!("epsilon must be positive and finite, got {eps}")
+            }
+            _ => return Ok(()),
+        };
+        Err(algorithm_error(format!("{}: {problem}", self.name)))
+    }
+}
+
+/// The large machine every registered program coordinates through —
+/// a typed error if the cluster has none, or has no small machines to
+/// hold the input.
+///
+/// # Errors
+///
+/// [`ExecError::Algorithm`] for either missing role.
+pub(crate) fn large_machine(cluster: &Cluster) -> Result<MachineId, ExecError> {
+    match cluster.large() {
+        Some(large) if cluster.machines() > 1 => Ok(large),
+        Some(_) => Err(algorithm_error(
+            "the registry algorithms need at least one small machine",
+        )),
+        None => Err(algorithm_error(
+            "the registry algorithms need a large machine",
+        )),
     }
 }
 
@@ -540,7 +648,7 @@ fn loglog(n: usize) -> u64 {
 // interleaved through the multi-program scheduler by default, so their
 // round budgets are the theorems' *parallel* figures — flat constants,
 // independent of the instance count (weight classes, thresholds, λ̂
-// guesses). The PR 4 sequential compositions survive behind
+// guesses). The sequential compositions survive behind
 // [`AlgoInput::sequential_instances`] as equivalence oracles; the
 // `budgets` experiment measures both and gates the ≥5× collapse.
 
@@ -556,14 +664,17 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.1",
         polylog_exponent: 2.6,
         round_budget: |_n| 6,
-        runner: |cluster, input, mode| {
+        recipe: |cluster, input| {
             let config = input
                 .params
                 .connectivity
                 .clone()
                 .unwrap_or_else(|| ConnectivityConfig::for_n(input.n));
-            adapters::heterogeneous_connectivity(cluster, input.n, input.edges, &config, mode)
-                .map(AlgoOutput::Components)
+            let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges, &config);
+            Wave::new("conn", programs, |p| {
+                halted(p.result).map(AlgoOutput::Components)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -572,8 +683,12 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "§3 building block",
         polylog_exponent: 1.3,
         round_budget: |n| 4 * log2(n) + 8,
-        runner: |cluster, input, mode| {
-            adapters::boruvka_msf(cluster, input.edges, mode).map(AlgoOutput::Forest)
+        recipe: |cluster, input| {
+            let programs = BoruvkaProgram::for_cluster(cluster, input.edges);
+            Wave::new("boruvka", programs, |p| {
+                halted(p.forest).map(AlgoOutput::Forest)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -582,9 +697,15 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 3.1",
         polylog_exponent: 1.3,
         round_budget: |n| 6 * loglog(n) + 16,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_mst_with(cluster, input.n, input.edges, &input.params.mst, mode)
-                .map(AlgoOutput::Mst)
+        recipe: |cluster, input| {
+            let programs =
+                MstProgram::for_cluster_with(cluster, input.n, input.edges, &input.params.mst);
+            Wave::new("mst", driven(programs), |Driven(p)| {
+                halted(p.result)?
+                    .map(AlgoOutput::Mst)
+                    .map_err(algorithm_error)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -593,9 +714,14 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 5.1",
         polylog_exponent: 1.3,
         round_budget: |n| 10 * loglog(n) + 36,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_matching(cluster, input.n, input.edges, mode)
-                .map(AlgoOutput::Matching)
+        recipe: |cluster, input| {
+            let programs = MatchingProgram::for_cluster(cluster, input.n, input.edges);
+            Wave::new("match", driven(programs), |Driven(p)| {
+                halted(p.result)?
+                    .map(AlgoOutput::Matching)
+                    .map_err(algorithm_error)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -604,15 +730,10 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 4.1",
         polylog_exponent: 1.6,
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_spanner(
-                cluster,
-                input.n,
-                input.edges,
-                input.params.spanner_k,
-                mode,
-            )
-            .map(AlgoOutput::Spanner)
+        recipe: |cluster, input| {
+            spanner_wave(cluster, input.n, input.edges, input.params.spanner_k)
+                .map(AlgoOutput::Spanner)
+                .into()
         },
     },
     Algorithm {
@@ -623,14 +744,9 @@ static ALGORITHMS: &[Algorithm] = &[
         // All weight classes interleaved in one engine run: the solo
         // spanner's O(1) clock, independent of the class count.
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::heterogeneous_spanner_weighted
-            } else {
-                adapters::heterogeneous_spanner_weighted_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.spanner_k, mode)
-                .map(AlgoOutput::Spanner)
+        recipe: |cluster, input| {
+            let k = input.params.spanner_k;
+            weighted_spanner(cluster, input.n, input.edges, k, AlgoOutput::Spanner)
         },
     },
     Algorithm {
@@ -642,22 +758,17 @@ static ALGORITHMS: &[Algorithm] = &[
         // interleaved when the input is weighted) — oracle indexing is
         // local to the large machine and costs no rounds.
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
+        recipe: |cluster, input| {
             let k = ApspOracle::stretch_parameter(input.n);
-            let weighted = input.edges.iter().any(|(_, e)| e.w != 1);
-            let spanner = if weighted {
-                let run = if input.params.batch_instances {
-                    adapters::heterogeneous_spanner_weighted
-                } else {
-                    adapters::heterogeneous_spanner_weighted_sequential
-                };
-                run(cluster, input.n, input.edges, k, mode)?
+            if is_weighted(input.edges) {
+                weighted_spanner(cluster, input.n, input.edges, k, move |s| {
+                    apsp(s, 12 * k - 1)
+                })
             } else {
-                adapters::heterogeneous_spanner(cluster, input.n, input.edges, k, mode)?
-            };
-            let stretch_bound = if weighted { 12 * k - 1 } else { 6 * k - 1 };
-            let oracle = ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound);
-            Ok(AlgoOutput::Apsp { oracle, spanner })
+                spanner_wave(cluster, input.n, input.edges, k)
+                    .map(move |s| apsp(s, 6 * k - 1))
+                    .into()
+            }
         },
     },
     Algorithm {
@@ -669,14 +780,13 @@ static ALGORITHMS: &[Algorithm] = &[
         // 3-round connectivity wave plus slack, independent of the
         // O(log_{1+ε} W) grid size — the theorem's parallel figure.
         round_budget: |_n| 8,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::approximate_mst_weight
-            } else {
-                adapters::approximate_mst_weight_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.epsilon, mode)
-                .map(AlgoOutput::MstApprox)
+        recipe: |cluster, input| {
+            let programs =
+                MstApproxProgram::for_cluster(cluster, input.n, input.edges, input.params.epsilon);
+            Wave::new("xmst", driven(programs), |Driven(p)| {
+                halted(p.result).map(AlgoOutput::MstApprox)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -687,15 +797,13 @@ static ALGORITHMS: &[Algorithm] = &[
         // O(1) per trial (12 engine rounds), at the default trial count,
         // plus the degree kickoff.
         round_budget: |_n| 12 * DEFAULT_MINCUT_TRIALS as u64 + 8,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_min_cut(
-                cluster,
-                input.n,
-                input.edges,
-                input.params.mincut_trials,
-                mode,
-            )
-            .map(AlgoOutput::MinCut)
+        recipe: |cluster, input| {
+            let trials = input.params.mincut_trials;
+            let programs = MinCutProgram::for_cluster(cluster, input.n, input.edges, trials);
+            Wave::new("cut", driven(programs), |Driven(p)| {
+                halted(p.result).map(AlgoOutput::MinCut)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -707,14 +815,13 @@ static ALGORITHMS: &[Algorithm] = &[
         // plus the conditional whole-graph fallback, independent of the
         // geometric guess count — the theorem's parallel figure.
         round_budget: |_n| 10,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::approximate_min_cut
-            } else {
-                adapters::approximate_min_cut_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.epsilon, mode)
-                .map(AlgoOutput::MinCutApprox)
+        recipe: |cluster, input| {
+            let eps = input.params.epsilon;
+            let programs = MinCutApproxProgram::for_cluster(cluster, input.n, input.edges, eps);
+            Wave::new("xcut", driven(programs), |Driven(p)| {
+                halted(p.result).map(AlgoOutput::MinCutApprox)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -723,8 +830,12 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.6",
         polylog_exponent: 1.6,
         round_budget: |n| 10 * (loglog(n) + 1) + 10,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_mis(cluster, input.n, input.edges, mode).map(AlgoOutput::Mis)
+        recipe: |cluster, input| {
+            let programs = MisProgram::for_cluster(cluster, input.n, input.edges);
+            Wave::new("mis", driven(programs), |Driven(p)| {
+                halted(p.result).map(AlgoOutput::Mis)
+            })
+            .into()
         },
     },
     Algorithm {
@@ -734,9 +845,12 @@ static ALGORITHMS: &[Algorithm] = &[
         polylog_exponent: 2.0,
         // O(1) plus at most MAX_RESTARTS + 1 attempt waves (2 rounds each).
         round_budget: |_n| 6 + 2 * (mpc_core::ported::coloring::MAX_RESTARTS as u64 + 1),
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_coloring(cluster, input.n, input.edges, mode)
-                .map(AlgoOutput::Coloring)
+        recipe: |cluster, input| {
+            let programs = ColoringProgram::for_cluster(cluster, input.n, input.edges);
+            Wave::new("color", driven(programs), |Driven(p)| {
+                halted(p.result).map(AlgoOutput::Coloring)
+            })
+            .into()
         },
     },
 ];
@@ -782,26 +896,31 @@ pub fn get(name: &str) -> Option<&'static Algorithm> {
     ALGORITHMS.iter().find(|a| a.name == name)
 }
 
+/// [`get`], with a typed error for unknown names.
+pub(crate) fn lookup(name: &str) -> Result<&'static Algorithm, ExecError> {
+    get(name).ok_or_else(|| {
+        let registered = names().join(", ");
+        algorithm_error(format!(
+            "unknown algorithm '{name}'; registered: {registered}"
+        ))
+    })
+}
+
 /// Runs the named algorithm on `cluster` in the given [`ExecMode`] — the
 /// registry entry point everything routes through.
 ///
 /// # Errors
 ///
-/// [`ExecError::Algorithm`] for unknown names; otherwise whatever the
-/// algorithm surfaces (see [`ExecError`]).
+/// [`ExecError::Algorithm`] for unknown names, out-of-range parameters,
+/// and clusters without a large machine or small machines; otherwise
+/// whatever the algorithm surfaces (see [`ExecError`]).
 pub fn run(
     name: &str,
     cluster: &mut Cluster,
     input: &AlgoInput<'_>,
     mode: ExecMode,
 ) -> Result<AlgoOutput, ExecError> {
-    let algo = get(name).ok_or_else(|| ExecError::Algorithm {
-        message: format!(
-            "unknown algorithm '{name}'; registered: {}",
-            names().join(", ")
-        ),
-    })?;
-    algo.run(cluster, input, mode)
+    lookup(name)?.run(cluster, input, mode, 0)
 }
 
 /// Runs one [`JobSpec`] solo on `cluster`: distributes the spec's graph
@@ -819,6 +938,7 @@ pub fn run_job(
     cluster: &mut Cluster,
     mode: ExecMode,
 ) -> Result<AlgoOutput, ExecError> {
+    large_machine(cluster)?;
     let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
     let input = AlgoInput {
         n: spec.graph.n(),
@@ -861,6 +981,398 @@ pub fn run_with_report(
     let output = result?;
     let report = crate::report::RunReport::from_events(name, ring.take(), cluster.cost_model());
     Ok((output, report))
+}
+
+// ---------------------------------------------------------------------------
+// Recipes: one single-wave form per registry name, two drivers
+// ---------------------------------------------------------------------------
+
+/// One engine run's worth of a registered algorithm: the per-machine
+/// programs and how to read the result off the large machine's final
+/// program.
+pub(crate) struct Wave<P, T = AlgoOutput> {
+    label: &'static str,
+    /// Paper-parallel instances interleaved in this wave: the solo driver
+    /// scales the cluster's capacity factor by it for the run.
+    instances: usize,
+    pub(crate) programs: Vec<P>,
+    pub(crate) extract: Box<dyn FnOnce(P) -> Result<T, ExecError>>,
+}
+
+/// A wave admitted into the service's [`MixedWave`](crate::MixedWave):
+/// erased lanes, and an extractor that downcasts the large machine's lane.
+pub(crate) type Lane = Wave<Box<dyn ErasedProgram>>;
+
+/// What a recipe builds for one input.
+pub(crate) enum Recipe<W = Box<dyn Drive>> {
+    /// A wave to drive to completion.
+    Wave(W),
+    /// Degenerate input (a weighted spanner over no edges): the result
+    /// needs no engine run.
+    Done(Box<AlgoOutput>),
+}
+
+impl<P: MachineProgram + 'static, T: 'static> Wave<P, T> {
+    fn new(
+        label: &'static str,
+        programs: Vec<P>,
+        extract: impl FnOnce(P) -> Result<T, ExecError> + 'static,
+    ) -> Self {
+        Wave {
+            label,
+            instances: 1,
+            programs,
+            extract: Box::new(extract),
+        }
+    }
+
+    fn map<U>(self, f: impl FnOnce(T) -> U + 'static) -> Wave<P, U> {
+        let extract = self.extract;
+        Wave {
+            label: self.label,
+            instances: self.instances,
+            programs: self.programs,
+            extract: Box::new(move |p| extract(p).map(f)),
+        }
+    }
+
+    /// The solo driver: one typed engine run (messages stay unboxed).
+    fn run(
+        self,
+        cluster: &mut Cluster,
+        large: MachineId,
+        mode: ExecMode,
+        threads: usize,
+    ) -> Result<T, ExecError> {
+        let mut outcome = {
+            let mut scaled = CapacityFactor::scale(cluster, self.instances);
+            Executor::new(self.label, mode)
+                .threads(threads)
+                .run(scaled.cluster(), self.programs)?
+        };
+        (self.extract)(outcome.programs.swap_remove(large))
+    }
+}
+
+impl<P> From<Wave<P>> for Recipe
+where
+    P: MachineProgram + 'static,
+    P::Message: 'static,
+{
+    fn from(wave: Wave<P>) -> Self {
+        Recipe::Wave(Box::new(wave))
+    }
+}
+
+/// A [`Wave`] with its program type hidden, so the registry table holds
+/// one plain function per name; each method is one of the two drivers.
+pub(crate) trait Drive {
+    /// The solo driver ([`Wave::run`]).
+    fn solo(
+        self: Box<Self>,
+        cluster: &mut Cluster,
+        large: MachineId,
+        mode: ExecMode,
+        threads: usize,
+    ) -> Result<AlgoOutput, ExecError>;
+
+    /// The lane driver: erase the programs for a [`MixedWave`](crate::MixedWave).
+    fn lane(self: Box<Self>) -> Lane;
+}
+
+impl<P> Drive for Wave<P>
+where
+    P: MachineProgram + 'static,
+    P::Message: 'static,
+{
+    fn solo(
+        self: Box<Self>,
+        cluster: &mut Cluster,
+        large: MachineId,
+        mode: ExecMode,
+        threads: usize,
+    ) -> Result<AlgoOutput, ExecError> {
+        self.run(cluster, large, mode, threads)
+    }
+
+    fn lane(self: Box<Self>) -> Lane {
+        let extract = self.extract;
+        Wave {
+            label: self.label,
+            instances: self.instances,
+            programs: self.programs.into_iter().map(erase).collect(),
+            extract: Box::new(move |p| extract(downcast_program::<P>(p))),
+        }
+    }
+}
+
+/// The result slot of the large machine's final program.
+fn halted<T>(slot: Option<T>) -> Result<T, ExecError> {
+    slot.ok_or_else(|| algorithm_error("the large machine halted without a result"))
+}
+
+fn algorithm_error(e: impl std::fmt::Display) -> ExecError {
+    ExecError::Algorithm {
+        message: e.to_string(),
+    }
+}
+
+fn driven<P>(programs: Vec<P>) -> Vec<Driven<P>> {
+    programs.into_iter().map(Driven).collect()
+}
+
+fn is_weighted(edges: &ShardedVec<Edge>) -> bool {
+    edges.iter().any(|(_, e)| e.w != 1)
+}
+
+fn apsp(spanner: SpannerResult, stretch_bound: usize) -> AlgoOutput {
+    let oracle = ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound);
+    AlgoOutput::Apsp { oracle, spanner }
+}
+
+fn spanner_wave(
+    cluster: &Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    k: usize,
+) -> Wave<Driven<SpannerProgram>, SpannerResult> {
+    let programs = driven(SpannerProgram::for_cluster(cluster, n, edges, k));
+    Wave::new("spanner", programs, |Driven(p)| halted(p.result))
+}
+
+/// Every factor-2 weight class of `edges` (the \[22\] reduction) as one
+/// [multiplexed](crate::multiplex) spanner wave — one spanner clock for
+/// all classes. The scheduler steps instances in class order, so each
+/// machine consumes its RNG stream class-major, exactly as
+/// [`sequential_weighted_spanner`] does.
+fn weighted_spanner(
+    cluster: &Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    k: usize,
+    finish: impl FnOnce(SpannerResult) -> AlgoOutput + 'static,
+) -> Recipe {
+    let classes = weight_class_shards(edges);
+    if classes.shards.is_empty() {
+        let spanner = merge_class_results(n, &classes, Vec::new());
+        return Recipe::Done(Box::new(finish(spanner)));
+    }
+    let per_instance = classes
+        .shards
+        .iter()
+        .map(|(_c, class_edges)| driven(SpannerProgram::for_cluster(cluster, n, class_edges, k)))
+        .collect();
+    let instances = classes.shards.len();
+    let wave = Wave::new(
+        "wspan",
+        Multiplexed::build(cluster, per_instance),
+        move |coordinator: Multiplexed<Driven<SpannerProgram>>| {
+            let results = coordinator
+                .into_programs()
+                .into_iter()
+                .map(|Driven(p)| halted(p.result))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(finish(merge_class_results(n, &classes, results)))
+        },
+    );
+    Wave { instances, ..wave }.into()
+}
+
+// ---------------------------------------------------------------------------
+// Solo-only compositions (selected by `batch_instances`)
+// ---------------------------------------------------------------------------
+
+/// The weighted spanner as one engine pass per weight class — the
+/// equivalence oracle for the batched wave (identical results and RNG
+/// stream positions, `O(classes)`× the rounds).
+fn sequential_weighted_spanner(
+    cluster: &mut Cluster,
+    large: MachineId,
+    input: &AlgoInput<'_>,
+    k: usize,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<SpannerResult, ExecError> {
+    mpc_core::spanner::weighted_by_classes(input.n, input.edges, |class_edges| {
+        spanner_wave(cluster, input.n, class_edges, k).run(cluster, large, mode, threads)
+    })
+}
+
+/// `mst-approx` with every `(1+ε)^j` threshold wave interleaved in one
+/// [multiplexed](crate::multiplex) run — one 3-round sketch-connectivity
+/// wave for all thresholds (the paper's parallel figure). The per-wave
+/// sketch seeds are pre-drawn host-side from the large machine's stream in
+/// ascending threshold order — the sequential program's draw order — so
+/// estimate, thresholds, component counts, *and* RNG stream positions are
+/// bit-identical to the single-wave form.
+fn batched_mst_approx(
+    cluster: &mut Cluster,
+    large: MachineId,
+    input: &AlgoInput<'_>,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
+    let (n, edges, epsilon) = (input.n, input.edges, input.params.epsilon);
+    let owners: Arc<[MachineId]> = cluster.small_ids().into();
+    let w_max = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1).max(1);
+    let thresholds = mpc_core::ported::mst_approx::geometric_thresholds(w_max, epsilon);
+    let phases = ConnectivityConfig::for_n(n).phases;
+    let seeds: Vec<u64> = thresholds
+        .iter()
+        .map(|_| cluster.rng(large).random())
+        .collect();
+    let shards = shard_arcs(cluster, edges);
+    let per_instance: Vec<Vec<Driven<MstApproxWave>>> = thresholds
+        .iter()
+        .zip(&seeds)
+        .map(|(&t, &seed)| {
+            shards
+                .iter()
+                .map(|shard| {
+                    Driven(MstApproxWave::new(
+                        n,
+                        phases,
+                        t,
+                        seed,
+                        owners.clone(),
+                        shard.clone(),
+                    ))
+                })
+                .collect()
+        })
+        .collect();
+    let muxed = Multiplexed::build(cluster, per_instance);
+    let outcome = {
+        let mut scaled = CapacityFactor::scale(cluster, thresholds.len());
+        Executor::new("xmst", mode)
+            .threads(threads)
+            .run(scaled.cluster(), muxed)
+    }?;
+    let coordinator = &outcome.programs[large];
+    let component_counts = (0..thresholds.len())
+        .map(|i| halted(coordinator.instance(i).0.count))
+        .collect::<Result<Vec<usize>, _>>()?;
+    let estimate = mpc_core::ported::mst_approx::estimate_from_counts(
+        n,
+        w_max,
+        &thresholds,
+        &component_counts,
+    );
+    Ok(AlgoOutput::MstApprox(MstApprox {
+        estimate,
+        thresholds,
+        component_counts,
+        parallel_rounds: outcome.rounds,
+    }))
+}
+
+/// `mincut-approx` with every geometric λ̂ guess interleaved in one
+/// [multiplexed](crate::multiplex) run — one 4-round wave for all guesses
+/// (the paper's parallel figure). Small machines sample the guesses in
+/// guess order within the first combined round (the single-wave form's
+/// per-machine draw order, so every guess's skeleton is bit-identical);
+/// the coordinator retires all guesses finer than the first to overflow
+/// its skeleton budget, and the winner is chosen by the same
+/// largest-first scan. RNG stream positions advance further than the
+/// single-wave form's whenever its early exit skipped later guesses (the
+/// batched run samples them all up front, as the paper does).
+fn batched_mincut_approx(
+    cluster: &mut Cluster,
+    large: MachineId,
+    input: &AlgoInput<'_>,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
+    let (n, edges, epsilon) = (input.n, input.edges, input.params.epsilon);
+    // Guess grid and sampling constant, host-side — the same derivation
+    // the single-wave program performs before its first round.
+    let total_weight: u64 = edges.iter().map(|(_, e)| e.w).sum();
+    let c_sample = mpc_core::ported::mincut_approx::c_sample_for(n, epsilon);
+    let guesses = mpc_core::ported::mincut_approx::lambda_guesses(total_weight);
+    let shards = shard_arcs(cluster, edges);
+    let per_instance: Vec<Vec<Driven<MinCutGuessWave>>> = guesses
+        .iter()
+        .map(|&guess| {
+            shards
+                .iter()
+                .map(|shard| Driven(MinCutGuessWave::new(n, c_sample, guess, shard.clone())))
+                .collect()
+        })
+        .collect();
+    let mut muxed = Multiplexed::build(cluster, per_instance);
+    // Early-exit controller on the coordinator: the first guess to
+    // overflow its skeleton budget retires every finer guess — their
+    // staged `Ship` commands are discarded before they leave the machine,
+    // so retired guesses contribute zero traffic to later combined rounds.
+    let coordinator = muxed.remove(large).with_controller(Arc::new(|_ctx, slots| {
+        if let Some(j) = slots
+            .iter()
+            .position(|s| matches!(s.program.0.outcome, Some(GuessOutcome::OverBudget)))
+        {
+            for slot in &mut slots[j + 1..] {
+                if !slot.is_retired() {
+                    slot.retire();
+                }
+            }
+        }
+    }));
+    muxed.insert(large, coordinator);
+    let outcome = {
+        let mut scaled = CapacityFactor::scale(cluster, guesses.len());
+        Executor::new("xcut", mode)
+            .threads(threads)
+            .run(scaled.cluster(), muxed)
+    }?;
+    let parallel_rounds = outcome.rounds;
+
+    // The largest-first scan over the per-guess verdicts: the first
+    // over-budget guess aborts to the fallback, the first concentrated
+    // estimate wins, anything else keeps scanning.
+    let coordinator = &outcome.programs[large];
+    for (i, &guess) in guesses.iter().enumerate() {
+        match &coordinator.instance(i).0.outcome {
+            // Over budget, or retired behind an over-budget guess.
+            None | Some(GuessOutcome::OverBudget) => break,
+            Some(GuessOutcome::Judged {
+                verdict,
+                skeleton_edges,
+            }) => match verdict {
+                SkeletonVerdict::Disconnected | SkeletonVerdict::NotConcentrated => continue,
+                SkeletonVerdict::Estimate(estimate) => {
+                    return Ok(AlgoOutput::MinCutApprox(ApproxMinCut {
+                        estimate: *estimate,
+                        lambda_guess: guess,
+                        skeleton_edges: *skeleton_edges,
+                        parallel_rounds,
+                    }));
+                }
+            },
+        }
+    }
+
+    // Every guess failed (or the budget was hit): gather the whole graph
+    // in a short second engine pass.
+    let programs = shards
+        .iter()
+        .map(|shard| Driven(XCutFallback::new(n, shard.clone())))
+        .collect();
+    let mut fb = Executor::new("xcut-fb", mode)
+        .threads(threads)
+        .run(cluster, programs)?;
+    let (estimate, m) = halted(fb.programs.swap_remove(large).0.result)?;
+    Ok(AlgoOutput::MinCutApprox(ApproxMinCut {
+        estimate,
+        lambda_guess: 1,
+        skeleton_edges: m,
+        parallel_rounds: parallel_rounds + fb.rounds,
+    }))
+}
+
+/// Each machine's input shard, shared by every instance of a batched run.
+fn shard_arcs(cluster: &Cluster, edges: &ShardedVec<Edge>) -> Vec<Arc<[Edge]>> {
+    (0..cluster.machines())
+        .map(|mid| Arc::from(edges.shard(mid)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -21,24 +21,18 @@
 //! solo path; for `mst-approx`/`mincut-approx` the
 //! [`sequential_instances`](crate::registry::JobParams::sequential_instances)
 //! solo path — their batched forms pre-draw host-side seeds, which has no
-//! mid-wave equivalent).
+//! mid-wave equivalent). A lane is always the registry recipe's
+//! single-wave form: [`batch_instances`](crate::registry::JobParams::batch_instances)
+//! applies to solo runs only.
 //!
 //! [`RoundHook`]: crate::driver::RoundHook
 
-use crate::combinators::Driven;
 use crate::driver::{ExecError, ExecMode, Executor, WaveRound};
-use crate::mixed::{downcast_program, erase, ErasedProgram, MixedWave};
-use crate::multiplex::Multiplexed;
-use crate::programs::{
-    BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutApproxProgram,
-    MinCutProgram, MisProgram, MstApproxProgram, MstProgram, SpannerProgram,
-};
-use crate::registry::{self, AlgoOutput, JobSpec};
-use mpc_core::ported::connectivity::ConnectivityConfig;
-use mpc_core::spanner::apsp::ApspOracle;
-use mpc_core::spanner::{merge_class_results, weight_class_shards};
+use crate::mixed::{ErasedProgram, MixedWave};
+use crate::registry::{self, AlgoOutput, Algorithm, JobSpec, Recipe};
+use mpc_core::spanner::weight_class;
 use mpc_runtime::telemetry::TraceEvent;
-use mpc_runtime::{machine_rng, Cluster, ClusterConfig, MachineId};
+use mpc_runtime::{machine_rng, Cluster, ClusterConfig};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -151,6 +145,7 @@ pub struct ServiceRun {
 
 struct QueuedJob {
     id: u64,
+    algo: &'static Algorithm,
     spec: JobSpec,
     state: Arc<Mutex<JobState>>,
     /// The attempt the next admission will consume (1-based).
@@ -160,40 +155,19 @@ struct QueuedJob {
     earliest: u64,
 }
 
-/// Consumes the finished per-machine lanes (index = machine id) and turns
-/// them back into the algorithm's output.
-type Extractor = Box<dyn FnOnce(Vec<Box<dyn ErasedProgram>>) -> Result<AlgoOutput, ExecError>>;
-
 struct RunningJob {
     id: u64,
+    algo: &'static Algorithm,
     shares: usize,
     admitted_round: u64,
     state: Arc<Mutex<JobState>>,
-    extract: Extractor,
+    /// Reads the result off the large machine's finished lane.
+    extract: Box<dyn FnOnce(Box<dyn ErasedProgram>) -> Result<AlgoOutput, ExecError>>,
     /// The full spec, kept so a quarantined job can be resubmitted (its
     /// lanes are rebuilt from scratch on re-admission).
     spec: JobSpec,
     /// The admission attempt this incarnation consumed (1-based).
     attempt: u32,
-}
-
-/// What building a job's per-machine programs produced.
-enum Built {
-    /// Lanes to admit plus the paired extractor.
-    Wave {
-        programs: Vec<Box<dyn ErasedProgram>>,
-        extract: Extractor,
-    },
-    /// Degenerate input (e.g. a weighted spanner with no edges): the
-    /// result exists without touching the wave.
-    Immediate(Result<AlgoOutput, ExecError>),
-}
-
-fn take_machine(boxes: Vec<Box<dyn ErasedProgram>>, mid: MachineId) -> Box<dyn ErasedProgram> {
-    boxes
-        .into_iter()
-        .nth(mid)
-        .expect("per-machine lane vector covers every machine")
 }
 
 /// The capacity shares a job occupies while running: its explicit
@@ -212,253 +186,11 @@ fn derived_shares(spec: &JobSpec) -> usize {
             }
             let mut classes = std::collections::BTreeSet::new();
             for e in spec.graph.edges() {
-                classes.insert(63 - e.w.max(1).leading_zeros());
+                classes.insert(weight_class(e.w));
             }
             classes.len().max(1)
         }
         _ => 1,
-    }
-}
-
-/// Builds a job's per-machine programs and extractor, mirroring the
-/// registry runners' construction (identical `for_cluster` calls, so the
-/// lanes are exactly what a solo run would drive). Must run with the
-/// cluster's capacity factor at 1 — the constructors snapshot solo
-/// capacities.
-fn build_job(spec: &JobSpec, cluster: &Cluster) -> Built {
-    debug_assert_eq!(cluster.capacity_factor(), 1, "build jobs at solo capacity");
-    let n = spec.graph.n();
-    let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
-    let large = cluster
-        .large()
-        .expect("the service requires a large machine");
-    let params = spec.params.clone();
-    match spec.name.as_str() {
-        "connectivity" => {
-            let config = params
-                .connectivity
-                .clone()
-                .unwrap_or_else(|| ConnectivityConfig::for_n(n));
-            Built::Wave {
-                programs: ConnectivityProgram::for_cluster(cluster, n, &edges, &config)
-                    .into_iter()
-                    .map(erase)
-                    .collect(),
-                extract: Box::new(move |boxes| {
-                    let p = downcast_program::<ConnectivityProgram>(take_machine(boxes, large));
-                    Ok(AlgoOutput::Components(
-                        p.result.expect("large machine halts with a result"),
-                    ))
-                }),
-            }
-        }
-        "boruvka-msf" => Built::Wave {
-            programs: BoruvkaProgram::for_cluster(cluster, &edges)
-                .into_iter()
-                .map(erase)
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<BoruvkaProgram>(take_machine(boxes, large));
-                Ok(AlgoOutput::Forest(
-                    p.forest.expect("large machine halts with a forest"),
-                ))
-            }),
-        },
-        "mst" => Built::Wave {
-            programs: MstProgram::for_cluster_with(cluster, n, &edges, &params.mst)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MstProgram>>(take_machine(boxes, large));
-                p.0.result
-                    .expect("large machine halts with a result")
-                    .map(AlgoOutput::Mst)
-                    .map_err(|e| ExecError::Algorithm {
-                        message: e.to_string(),
-                    })
-            }),
-        },
-        "matching" => Built::Wave {
-            programs: MatchingProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MatchingProgram>>(take_machine(boxes, large));
-                p.0.result
-                    .expect("large machine halts with a result")
-                    .map(AlgoOutput::Matching)
-                    .map_err(|e| ExecError::Algorithm {
-                        message: e.to_string(),
-                    })
-            }),
-        },
-        "spanner" => Built::Wave {
-            programs: SpannerProgram::for_cluster(cluster, n, &edges, params.spanner_k)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<SpannerProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Spanner(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "spanner-weighted" => {
-            build_weighted_spanner(cluster, n, &edges, params.spanner_k, large, None)
-        }
-        "apsp" => {
-            let k = ApspOracle::stretch_parameter(n);
-            let weighted = edges.iter().any(|(_, e)| e.w != 1);
-            let stretch_bound = if weighted { 12 * k - 1 } else { 6 * k - 1 };
-            if weighted {
-                build_weighted_spanner(cluster, n, &edges, k, large, Some(stretch_bound))
-            } else {
-                Built::Wave {
-                    programs: SpannerProgram::for_cluster(cluster, n, &edges, k)
-                        .into_iter()
-                        .map(|p| erase(Driven(p)))
-                        .collect(),
-                    extract: Box::new(move |boxes| {
-                        let p =
-                            downcast_program::<Driven<SpannerProgram>>(take_machine(boxes, large));
-                        let spanner = p.0.result.expect("large machine halts with a result");
-                        let oracle =
-                            ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound);
-                        Ok(AlgoOutput::Apsp { oracle, spanner })
-                    }),
-                }
-            }
-        }
-        "mst-approx" => Built::Wave {
-            programs: MstApproxProgram::for_cluster(cluster, n, &edges, params.epsilon)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MstApproxProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MstApprox(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mincut" => Built::Wave {
-            programs: MinCutProgram::for_cluster(cluster, n, &edges, params.mincut_trials)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MinCutProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MinCut(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mincut-approx" => Built::Wave {
-            programs: MinCutApproxProgram::for_cluster(cluster, n, &edges, params.epsilon)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MinCutApproxProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MinCutApprox(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mis" => Built::Wave {
-            programs: MisProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MisProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Mis(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "coloring" => Built::Wave {
-            programs: ColoringProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<ColoringProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Coloring(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        other => Built::Immediate(Err(ExecError::Algorithm {
-            message: format!("no registered algorithm named {other:?}"),
-        })),
-    }
-}
-
-/// The batched weighted-spanner lane shared by `spanner-weighted` and
-/// weighted `apsp`: all factor-2 weight classes as a [`Multiplexed`]
-/// program (the same construction as the solo adapter), merged back into
-/// one spanner at extraction. `apsp_stretch` switches the output variant.
-fn build_weighted_spanner(
-    cluster: &Cluster,
-    n: usize,
-    edges: &mpc_runtime::ShardedVec<mpc_graph::Edge>,
-    k: usize,
-    large: MachineId,
-    apsp_stretch: Option<usize>,
-) -> Built {
-    let classes = weight_class_shards(edges);
-    if classes.shards.is_empty() {
-        let spanner = merge_class_results(n, &classes, Vec::new());
-        return Built::Immediate(Ok(match apsp_stretch {
-            Some(stretch_bound) => AlgoOutput::Apsp {
-                oracle: ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound),
-                spanner,
-            },
-            None => AlgoOutput::Spanner(spanner),
-        }));
-    }
-    let per_instance: Vec<Vec<Driven<SpannerProgram>>> = classes
-        .shards
-        .iter()
-        .map(|(_c, class_edges)| {
-            SpannerProgram::for_cluster(cluster, n, class_edges, k)
-                .into_iter()
-                .map(Driven)
-                .collect()
-        })
-        .collect();
-    let programs = Multiplexed::build(cluster, per_instance)
-        .into_iter()
-        .map(erase)
-        .collect();
-    Built::Wave {
-        programs,
-        extract: Box::new(move |boxes| {
-            let mut coordinator =
-                downcast_program::<Multiplexed<Driven<SpannerProgram>>>(take_machine(boxes, large));
-            let results: Vec<_> = (0..coordinator.instances())
-                .map(|i| {
-                    coordinator
-                        .instance_mut(i)
-                        .0
-                        .result
-                        .take()
-                        .expect("large machine halts with a per-class result")
-                })
-                .collect();
-            let spanner = merge_class_results(n, &classes, results);
-            Ok(match apsp_stretch {
-                Some(stretch_bound) => AlgoOutput::Apsp {
-                    oracle: ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound),
-                    spanner,
-                },
-                None => AlgoOutput::Spanner(spanner),
-            })
-        }),
     }
 }
 
@@ -622,18 +354,16 @@ impl Service {
         self.queue.len()
     }
 
-    /// Enqueues a job, validating its registry name up front.
+    /// Enqueues a job, validating its registry name and parameters up
+    /// front.
     ///
     /// # Errors
     ///
     /// [`ExecError::Algorithm`] when `spec.name` is not a registered
-    /// algorithm — nothing is enqueued.
+    /// algorithm or its parameters are out of range — nothing is enqueued.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobHandle, ExecError> {
-        if registry::get(&spec.name).is_none() {
-            return Err(ExecError::Algorithm {
-                message: format!("no registered algorithm named {:?}", spec.name),
-            });
-        }
+        let algo = registry::lookup(&spec.name)?;
+        algo.check(&spec.params)?;
         let id = self.next_id;
         self.next_id += 1;
         let state = Arc::new(Mutex::new(JobState {
@@ -647,6 +377,7 @@ impl Service {
         };
         self.queue.push_back(QueuedJob {
             id,
+            algo,
             spec,
             state,
             attempt: 1,
@@ -713,10 +444,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Non-quarantinable engine failures (the round limit, hook errors)
-    /// abort the whole run: jobs already admitted are marked
-    /// [`JobStatus::Failed`] (their lanes died with the run); jobs still
-    /// queued return to the service queue untouched.
+    /// [`ExecError::Algorithm`], before anything runs, on a cluster
+    /// without a large machine or without small machines. Non-quarantinable
+    /// engine failures (the round limit, hook errors) abort the whole run:
+    /// jobs already admitted are marked [`JobStatus::Failed`] (their lanes
+    /// died with the run); jobs still queued return to the service queue
+    /// untouched.
     pub fn run_on(
         &mut self,
         cluster: &mut Cluster,
@@ -727,6 +460,7 @@ impl Service {
             1,
             "the service manages the capacity factor; start a run at 1"
         );
+        let large = registry::large_machine(cluster)?;
         let machines = cluster.machines();
         let limit = if self.capacity_shares == 0 {
             usize::MAX
@@ -782,7 +516,7 @@ impl Service {
                             continue;
                         }
                         let rj = running.remove(i);
-                        let boxes: Vec<_> = (0..machines)
+                        let mut lanes: Vec<_> = (0..machines)
                             .map(|mid| {
                                 view.with(mid, |wave| {
                                     wave.remove(job)
@@ -790,7 +524,7 @@ impl Service {
                                 })
                             })
                             .collect();
-                        let outcome = (rj.extract)(boxes);
+                        let outcome = (rj.extract)(lanes.swap_remove(large));
                         finish_job(
                             cluster,
                             records,
@@ -905,8 +639,8 @@ impl Service {
                                 shares,
                             });
                         }
-                        match build_job(&qj.spec, cluster) {
-                            Built::Immediate(outcome) => {
+                        match qj.algo.lane(&qj.spec, cluster) {
+                            Recipe::Done(output) => {
                                 finish_job(
                                     cluster,
                                     records,
@@ -917,12 +651,12 @@ impl Service {
                                     &qj.state,
                                     round,
                                     qj.attempt,
-                                    outcome,
+                                    Ok(*output),
                                 );
                             }
-                            Built::Wave { programs, extract } => {
+                            Recipe::Wave(lane) => {
                                 qj.state.lock().unwrap().status = JobStatus::Running;
-                                for (mid, program) in programs.into_iter().enumerate() {
+                                for (mid, program) in lane.programs.into_iter().enumerate() {
                                     view.with(mid, |wave| {
                                         wave.admit(
                                             qj.id,
@@ -935,10 +669,11 @@ impl Service {
                                 }
                                 running.push(RunningJob {
                                     id: qj.id,
+                                    algo: qj.algo,
                                     shares,
                                     admitted_round: round,
                                     state: qj.state,
-                                    extract,
+                                    extract: lane.extract,
                                     spec: qj.spec,
                                     attempt: qj.attempt,
                                 });
@@ -999,6 +734,7 @@ impl Service {
                 rj.state.lock().unwrap().status = JobStatus::Queued;
                 queue.push_front(QueuedJob {
                     id: rj.id,
+                    algo: rj.algo,
                     spec: rj.spec,
                     state: rj.state,
                     attempt: rj.attempt,
@@ -1027,6 +763,7 @@ impl Service {
                     survivor_count,
                     QueuedJob {
                         id: culprit.id,
+                        algo: culprit.algo,
                         spec: culprit.spec,
                         state: culprit.state,
                         attempt,
@@ -1063,14 +800,14 @@ impl Service {
         // their lanes sit in the returned wave states.
         let mut waves = outcome.programs;
         for rj in running.drain(..) {
-            let boxes: Vec<_> = waves
+            let mut lanes: Vec<_> = waves
                 .iter_mut()
                 .map(|wave| {
                     wave.remove(rj.id)
                         .expect("a running job has a lane on every machine")
                 })
                 .collect();
-            let job_outcome = (rj.extract)(boxes);
+            let job_outcome = (rj.extract)(lanes.swap_remove(large));
             finish_job(
                 cluster,
                 &mut records,

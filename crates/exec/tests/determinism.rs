@@ -5,7 +5,7 @@
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
-use mpc_exec::{adapters, ExecMode};
+use mpc_exec::{registry, AlgoInput, ExecMode, JobParams};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
@@ -83,22 +83,19 @@ fn connectivity_parallel_matches_serial() {
         {
             let input_s = common::distribute_edges(&serial, &g);
             let input_p = common::distribute_edges(&parallel, &g);
-            let r_serial = adapters::heterogeneous_connectivity(
-                &mut serial,
-                g.n(),
-                &input_s,
-                &config,
-                ExecMode::Serial,
-            )
-            .unwrap();
-            let r_parallel = adapters::heterogeneous_connectivity(
-                &mut parallel,
-                g.n(),
-                &input_p,
-                &config,
-                ExecMode::Parallel,
-            )
-            .unwrap();
+            let conn = |cluster: &mut Cluster, edges, mode| {
+                let input = AlgoInput {
+                    n: g.n(),
+                    edges,
+                    params: JobParams::default().connectivity(config.clone()),
+                };
+                registry::run("connectivity", cluster, &input, mode)
+                    .unwrap()
+                    .into_components()
+                    .unwrap()
+            };
+            let r_serial = conn(&mut serial, &input_s, ExecMode::Serial);
+            let r_parallel = conn(&mut parallel, &input_p, ExecMode::Parallel);
             let what = format!("connectivity seed {seed} topology {ti}");
             assert_eq!(r_serial, r_parallel, "{what}: results differ");
             assert_clusters_identical(&mut serial, &mut parallel, &what);
@@ -117,9 +114,14 @@ fn boruvka_parallel_matches_serial() {
         {
             let input_s = common::distribute_edges(&serial, &g);
             let input_p = common::distribute_edges(&parallel, &g);
-            let f_serial = adapters::boruvka_msf(&mut serial, &input_s, ExecMode::Serial).unwrap();
-            let f_parallel =
-                adapters::boruvka_msf(&mut parallel, &input_p, ExecMode::Parallel).unwrap();
+            let msf = |cluster: &mut Cluster, edges, mode| {
+                registry::run("boruvka-msf", cluster, &AlgoInput::new(g.n(), edges), mode)
+                    .unwrap()
+                    .into_forest()
+                    .unwrap()
+            };
+            let f_serial = msf(&mut serial, &input_s, ExecMode::Serial);
+            let f_parallel = msf(&mut parallel, &input_p, ExecMode::Parallel);
             let what = format!("boruvka seed {seed} topology {ti}");
             assert_eq!(f_serial.keys(), f_parallel.keys(), "{what}: forests differ");
             assert_eq!(

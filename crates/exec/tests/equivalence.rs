@@ -3,7 +3,7 @@
 
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
 use mpc_core::{common, mst};
-use mpc_exec::{adapters, ExecMode};
+use mpc_exec::{registry, AlgoInput, ExecMode, JobParams};
 use mpc_graph::{generators, traversal::connected_components, Edge};
 use mpc_runtime::{Cluster, ClusterConfig};
 
@@ -25,13 +25,19 @@ fn connectivity_program_equals_legacy_exactly() {
 
         let mut engine_cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
         let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine = adapters::heterogeneous_connectivity(
+        let engine_input = AlgoInput {
+            n: g.n(),
+            edges: &engine_input,
+            params: JobParams::default().connectivity(config),
+        };
+        let engine = registry::run(
+            "connectivity",
             &mut engine_cluster,
-            g.n(),
             &engine_input,
-            &config,
             ExecMode::Parallel,
         )
+        .unwrap()
+        .into_components()
         .unwrap();
 
         // Exact equality: the program draws the same seed from the same
@@ -63,8 +69,15 @@ fn boruvka_program_matches_legacy_mst() {
 
         let mut engine_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
         let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine =
-            adapters::boruvka_msf(&mut engine_cluster, &engine_input, ExecMode::Parallel).unwrap();
+        let engine = registry::run(
+            "boruvka-msf",
+            &mut engine_cluster,
+            &AlgoInput::new(g.n(), &engine_input),
+            ExecMode::Parallel,
+        )
+        .unwrap()
+        .into_forest()
+        .unwrap();
 
         assert_eq!(engine.keys(), legacy.keys(), "seed {seed}");
         assert_eq!(engine.total_weight, legacy.total_weight, "seed {seed}");
@@ -78,13 +91,21 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
     let g = generators::random_forest(80, 5, 3).with_random_weights(500, 3);
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(9));
     let input = common::distribute_edges(&cluster, &g);
-    let forest = adapters::boruvka_msf(&mut cluster, &input, ExecMode::Parallel).unwrap();
+    let input = AlgoInput::new(g.n(), &input);
+    let forest = registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Parallel)
+        .unwrap()
+        .into_forest()
+        .unwrap();
     assert!(mst::is_minimum_spanning_forest(&g, &forest));
 
     // Empty graph: engine must terminate with an empty forest.
     let empty = mpc_graph::Graph::empty(10);
     let mut cluster = Cluster::new(ClusterConfig::new(10, 1).seed(1));
     let input = common::distribute_edges(&cluster, &empty);
-    let forest = adapters::boruvka_msf(&mut cluster, &input, ExecMode::Serial).unwrap();
+    let input = AlgoInput::new(empty.n(), &input);
+    let forest = registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Serial)
+        .unwrap()
+        .into_forest()
+        .unwrap();
     assert!(forest.is_empty());
 }

@@ -695,6 +695,46 @@ fn unknown_names_are_rejected_at_submit() {
     assert_eq!(svc.queued(), 0);
 }
 
+/// Out-of-range parameters are rejected at submit, before they can reach
+/// a program constructor mid-run and take the other tenants down with it.
+#[test]
+fn out_of_range_parameters_are_rejected_at_submit() {
+    let g = Arc::new(generators::gnm(48, 160, 2));
+    let mut svc = Service::new(config(&g, 1));
+    let healthy = svc
+        .submit(JobSpec::new("matching", Arc::clone(&g)).seed(3))
+        .unwrap();
+    for bad in [
+        JobSpec::new("spanner", Arc::clone(&g)).spanner_k(1),
+        JobSpec::new("mst-approx", Arc::clone(&g)).epsilon(0.0),
+        JobSpec::new("mincut-approx", Arc::clone(&g)).epsilon(1.5),
+    ] {
+        let err = svc.submit(bad).err().expect("bad parameters are rejected");
+        assert!(matches!(err, ExecError::Algorithm { .. }), "got {err}");
+    }
+    assert_eq!(svc.queued(), 1);
+    let run = svc.run(ExecMode::Serial).expect("service run");
+    assert_eq!(run.records.len(), 1);
+    assert_eq!(healthy.status(), JobStatus::Completed);
+}
+
+/// A cluster the registry programs cannot run on is a typed error from
+/// `run_on`, and the queue survives it untouched.
+#[test]
+fn run_on_rejects_clusters_without_both_machine_roles() {
+    use mpc_runtime::Topology;
+    let g = Arc::new(generators::gnm(24, 60, 4));
+    for (capacities, large) in [(vec![4000; 4], None), (vec![4000], Some(0))] {
+        let topology = Topology::Custom { capacities, large };
+        let mut cluster = Cluster::new(config(&g, 1).topology(topology));
+        let mut svc = Service::new(config(&g, 1));
+        svc.submit(JobSpec::new("mst", Arc::clone(&g))).unwrap();
+        let err = svc.run_on(&mut cluster, ExecMode::Serial).unwrap_err();
+        assert!(matches!(err, ExecError::Algorithm { .. }), "got {err}");
+        assert_eq!(svc.queued(), 1);
+    }
+}
+
 #[test]
 fn empty_weighted_spanner_completes_without_entering_the_wave() {
     let g = Arc::new(Graph::new(8, Vec::new()));
