@@ -905,10 +905,10 @@ const BATCH_COLLAPSE_FACTOR: u64 = 5;
 /// doubly-logarithmic ones (each algorithm declares its own cap, see
 /// [`mpc_exec::Algorithm::round_budget`]). The formerly sequentialized
 /// workloads (`spanner-weighted`, `mst-approx`, `mincut-approx`) now run
-/// their paper-parallel instances interleaved through the multi-program
-/// scheduler, so their caps are the theorems' *parallel* figures; the gate
+/// their paper-parallel instances interleaved as the lanes of one batched
+/// wave, so their caps are the theorems' *parallel* figures; the gate
 /// additionally runs each of them in the sequential oracle mode and fails
-/// unless batching collapses measured rounds by ≥[`BATCH_COLLAPSE_FACTOR`]×.
+/// unless batching collapses measured rounds by ≥`BATCH_COLLAPSE_FACTOR` (5)×.
 ///
 /// Every measured round count is also recorded into the committed
 /// `BENCH_rounds.json`, so round-count drift *below* the caps is visible
@@ -1017,7 +1017,7 @@ struct RoundsRow {
 /// registry name on the budgets workload, committed so drift *below* the
 /// caps shows up in review diffs (the hard gate only catches cap breaches).
 fn write_rounds_json(rows: &[RoundsRow]) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rounds.json");
+    let path = crate::bench_output_path("BENCH_rounds.json");
     let mut body = String::new();
     body.push_str("{\n");
     body.push_str("  \"bench\": \"registry_rounds\",\n");
@@ -1264,7 +1264,7 @@ struct ServiceRow {
 /// requires, so the shared file keeps parsing; the service rows themselves
 /// are telemetry, never enforced (they match no hotpath case).
 fn append_service_rows(rows: &[ServiceRow]) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_exec.json");
+    let path = crate::bench_output_path("BENCH_exec.json");
     let fmt = |r: &ServiceRow, last: bool| {
         format!(
             "    {{\"workload\": \"{}\", \"machines\": {}, \"rounds\": {}, \

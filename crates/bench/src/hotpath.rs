@@ -437,8 +437,8 @@ pub fn run(quick: bool) {
     // full MST pipeline (contraction waves + KKT), the three-phase
     // matching, the prefix-batched MIS, and the palette-sampling coloring
     // — many short rounds, the regime the pool is built for — plus the
-    // three batched multi-program workloads (weight classes, threshold
-    // waves, λ̂ guesses interleaved by the multiplexed scheduler: many
+    // three batched workloads (weight classes, threshold
+    // waves, λ̂ guesses interleaved as the lanes of one wave: many
     // instances, very few combined rounds) on a smaller weighted graph.
     let g_mst = g.clone().with_random_weights(1 << 20, seed);
     let nb = if quick { 256 } else { 512 };
@@ -543,7 +543,7 @@ pub fn run(quick: bool) {
          asserted), from one extra faulted serial run on the representative rows."
     );
 
-    let path = bench_json_path();
+    let path = crate::bench_output_path("BENCH_exec.json");
     let pool_threads = pool_threads_setting();
     guard_against_baseline(&path, quick, pool_threads, &cases);
     write_json(&path, quick, cores, pool_threads, &cases);
@@ -719,12 +719,6 @@ fn guard_against_baseline(
         GUARD_TOLERANCE * 100.0,
         failures.join("\n  ")
     );
-}
-
-/// `BENCH_exec.json` lives at the repo root so the perf trajectory is one
-/// flat file per subsystem.
-fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_exec.json")
 }
 
 fn write_json(

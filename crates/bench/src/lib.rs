@@ -23,6 +23,16 @@ pub mod table;
 
 pub use table::Table;
 
+/// Where a committed bench artifact (`BENCH_exec.json`,
+/// `BENCH_rounds.json`) is read and written: `file` under the working
+/// directory, resolved when the binary runs — so the bins are run from the
+/// repo root, and a copied binary writes next to wherever it is run.
+pub fn bench_output_path(file: &str) -> std::path::PathBuf {
+    std::env::current_dir()
+        .expect("the working directory is readable")
+        .join(file)
+}
+
 /// All experiment names, in presentation order.
 pub const EXPERIMENTS: &[&str] = &[
     "table1",

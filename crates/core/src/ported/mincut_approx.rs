@@ -7,7 +7,7 @@
 //! `(1±ε)` estimate. Since `λ` is unknown, all `O(log W·n)` geometric
 //! guesses run in parallel (here: sequentially, with the parallel round
 //! figure reported — this legacy loop survives as the equivalence oracle
-//! for the engine's batched path in `mpc_exec::multiplex`, which runs all
+//! for the engine's batched path (`mpc_exec::MixedWave::batched`), which runs all
 //! guesses interleaved and achieves the parallel figure for real); the
 //! right guess is the sparsest skeleton that is still
 //! connected and has `Ω(log n/ε²)` min degree — coarser guesses

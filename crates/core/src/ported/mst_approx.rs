@@ -16,7 +16,7 @@
 //! legacy implementation runs them sequentially and reports both the sum
 //! of rounds and the parallel figure (max over instances); it survives as
 //! the equivalence oracle for the engine's batched path
-//! (`mpc_exec::multiplex`), which interleaves all instances into one
+//! (`mpc_exec::MixedWave::batched`), which interleaves all instances into one
 //! engine run and achieves the parallel figure for real.
 
 use super::connectivity::{components_below_threshold, ConnectivityConfig};

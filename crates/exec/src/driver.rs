@@ -16,7 +16,7 @@
 //! nothing per round in steady state: exchanges go through the
 //! buffer-reusing [`Cluster::exchange_into`](mpc_runtime::Cluster::exchange_into),
 //! round labels share one interned prefix
-//! ([`RoundLabel`](mpc_runtime::RoundLabel)), and in
+//! ([`RoundLabel`]), and in
 //! [`ExecMode::Parallel`] the worker threads are spawned **once per run**
 //! ([`pool`](crate::pool)) instead of once per round.
 

@@ -50,7 +50,6 @@ pub mod combinators;
 pub mod driver;
 pub mod machine;
 pub mod mixed;
-pub mod multiplex;
 pub mod pool;
 pub mod programs;
 pub mod registry;
@@ -60,8 +59,7 @@ pub mod service;
 pub use combinators::{Driven, Outbox, Owners, RoleProgram};
 pub use driver::{ExecError, ExecMode, ExecOutcome, Executor, WaveRound};
 pub use machine::{MachineCtx, MachineProgram, StepOutcome};
-pub use mixed::{ErasedMsg, ErasedProgram, MixedMsg, MixedWave};
-pub use multiplex::{Multiplexed, Mux, MuxSlot};
+pub use mixed::{ErasedMsg, ErasedProgram, LaneController, MixedLane, MixedMsg, MixedWave};
 pub use programs::{
     BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutApproxProgram,
     MinCutProgram, MisProgram, MstApproxProgram, MstProgram, SpannerProgram,

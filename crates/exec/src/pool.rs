@@ -151,7 +151,7 @@ pub struct PoolCore {
     next: AtomicUsize,
     /// Per-item activity mask: the driving thread clears entries for idle
     /// items (halted machines with empty inboxes, e.g. every machine of a
-    /// retired multiplexed instance) before releasing a round, and workers
+    /// retired lane of a batched wave) before releasing a round, and workers
     /// skip them without invoking the job — an idle item costs one relaxed
     /// atomic load instead of a mutex claim cycle.
     active: Vec<AtomicBool>,

@@ -15,7 +15,7 @@
 //! Flow: degrees up (rounds 0–2), then per attempt: `Attempt{seed}`
 //! broadcast → conflict edges gathered two rounds later → local list
 //! coloring. A failed attempt restarts with a fresh seed; after
-//! [`MAX_RESTARTS`](mpc_core::ported::coloring::MAX_RESTARTS) the whole
+//! [`MAX_RESTARTS`] the whole
 //! graph is gathered and greedy-colored (the legacy fallback).
 
 use crate::combinators::{announce_degrees, Outbox, Owners, RoleProgram};

@@ -11,8 +11,8 @@
 //!
 //! Two execution shapes share the per-guess wave:
 //!
-//! * [`MinCutGuessWave`] — one λ̂ guess as a standalone instance for the
-//!   [multi-program scheduler](crate::multiplex): the **default** path
+//! * [`MinCutGuessWave`] — one λ̂ guess as a standalone lane of a
+//!   [batched wave](crate::MixedWave::batched): the **default** path
 //!   runs every guess interleaved in one engine run (`O(1)` combined
 //!   rounds, the paper's parallel figure). Small machines sample all
 //!   guesses in guess order inside the first combined round — the legacy
@@ -213,8 +213,8 @@ pub enum GuessOutcome {
     },
 }
 
-/// One λ̂ guess of the Theorem C.4 estimator as a standalone instance for
-/// the [multi-program scheduler](crate::multiplex).
+/// One λ̂ guess of the Theorem C.4 estimator as a standalone lane of a
+/// [batched wave](crate::MixedWave::batched).
 ///
 /// Wave shape (combined-round clock): smalls sample + report counts at
 /// round 0, the large machine budget-checks at round 1 (over budget →
@@ -285,7 +285,7 @@ impl RoleProgram for MinCutGuessWave {
                         _ => None,
                     })
                     .sum();
-                // `ctx.capacity` is the solo capacity (the multiplexer
+                // `ctx.capacity` is the solo capacity (the wave
                 // snapshots it before the combined-run factor is applied),
                 // so the budget rule is bit-identical to a solo run.
                 if total > skeleton_budget(ctx.capacity) {
@@ -330,7 +330,7 @@ impl RoleProgram for MinCutGuessWave {
         let mut out = Outbox::new();
         if ctx.round == 0 {
             // One Binomial(w, p) draw per edge in shard order; the
-            // multiplexer steps instances in guess order, so the machine's
+            // wave steps its lanes in guess order, so the machine's
             // stream is consumed guess-major — the legacy order.
             let p = self.p();
             for e in self.input.iter() {

@@ -13,8 +13,8 @@
 //!
 //! Two execution shapes share that wave:
 //!
-//! * [`MstApproxWave`] — one threshold as a standalone instance for the
-//!   [multi-program scheduler](crate::multiplex): the **default** path runs
+//! * [`MstApproxWave`] — one threshold as a standalone lane of a
+//!   [batched wave](crate::MixedWave::batched): the **default** path runs
 //!   all waves interleaved in one engine run (`O(1)` combined rounds, the
 //!   paper's parallel figure), with the per-wave seeds pre-drawn by the
 //!   batched registry runner in the legacy threshold order so results *and* RNG
@@ -154,8 +154,8 @@ impl MstApproxProgram {
     }
 }
 
-/// One threshold wave of the Theorem C.2 estimator as a standalone
-/// instance for the [multi-program scheduler](crate::multiplex): sketch
+/// One threshold wave of the Theorem C.2 estimator as a standalone lane
+/// of a [batched wave](crate::MixedWave::batched): sketch
 /// the weight-filtered shard, merge at owners, count components on the
 /// large machine — three combined rounds for *every* threshold at once.
 ///
@@ -171,7 +171,7 @@ pub struct MstApproxWave {
     threshold: u64,
     seed: u64,
     owners: Arc<[MachineId]>,
-    /// This machine's input shard, shared across the instances multiplexed
+    /// This machine's input shard, shared across the instances batched
     /// onto the machine.
     input: Arc<[Edge]>,
     /// Set on the large machine when the wave completes: `c_τ`.

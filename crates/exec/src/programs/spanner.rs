@@ -18,7 +18,7 @@
 //! | 7–8   | large/owners | `B_i` masks finalized, pushed, looked up |
 //! | 9–10  | smalls/owners | min-neighbor-in-`B` candidates aggregated; star centers `σ` assigned |
 //! | 11–12 | smalls/owners | cluster edges `(level, σ_u, σ_v)` deduplicated at owners; per-level subsamples drawn and shipped |
-//! | 13    | large  | per-level spanning ([`span_levels`](mpc_core::spanner::span_levels)); history answers |
+//! | 13    | large  | per-level spanning ([`span_levels`]); history answers |
 //! | 14–15 | owners | removal candidates aggregated; stars + removals shipped |
 //! | 16    | large  | combine (Lemma A.2), halt |
 //!

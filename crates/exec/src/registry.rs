@@ -4,7 +4,7 @@
 //! `registry::run("mst", &mut cluster, &input, ExecMode::Parallel)` is the
 //! single way the facade crate, the examples, the benches, and the CI
 //! smoke tests execute a workload: a registered algorithm is guaranteed to
-//! run on the [`Executor`](crate::Executor) under both [`ExecMode::Serial`]
+//! run on the [`Executor`] under both [`ExecMode::Serial`]
 //! and [`ExecMode::Parallel`] with bit-identical results, and anything
 //! *not* registered here is by definition not fast-path-capable — the
 //! `registry` bench experiment fails if a registered program stops
@@ -13,31 +13,30 @@
 //! Each name has one *recipe*: a function that builds the per-machine
 //! programs of its single-wave form and reads the result back off the
 //! large machine's final program. Two generic drivers consume it — a typed
-//! solo run on the [`Executor`](crate::Executor) (messages stay unboxed),
+//! solo run on the [`Executor`] (messages stay unboxed),
 //! and type-erased lanes for the [service](crate::service)'s mixed wave.
 //! Three solo-only compositions, with no single-wave form, are the only
 //! other runners; [`JobParams::batch_instances`] selects them.
 //!
 //! | name | paper result | single-wave recipe | solo-only composition |
 //! |------|--------------|--------------------|-----------------------|
-//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`](crate::programs::ConnectivityProgram) | |
-//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`](crate::programs::BoruvkaProgram) | |
-//! | `mst`          | Thm 3.1 | [`MstProgram`](crate::programs::MstProgram) | |
-//! | `matching`     | Thm 5.1 | [`MatchingProgram`](crate::programs::MatchingProgram) | |
-//! | `spanner`      | Thm 4.1 | [`SpannerProgram`](crate::programs::SpannerProgram) | |
-//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`](crate::programs::SpannerProgram), [multiplexed](crate::multiplex) | one pass per class (sequential) |
+//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`] | |
+//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`] | |
+//! | `mst`          | Thm 3.1 | [`MstProgram`] | |
+//! | `matching`     | Thm 5.1 | [`MatchingProgram`] | |
+//! | `spanner`      | Thm 4.1 | [`SpannerProgram`] | |
+//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`], [batched](MixedWave::batched) | one pass per class (sequential) |
 //! | `apsp`         | Cor 4.2 | `k = ⌈log₂ n⌉` spanner (weighted: as `spanner-weighted`), oracle indexed on the large machine | weighted: one pass per class (sequential) |
-//! | `mst-approx`   | Thm C.2 | [`MstApproxProgram`](crate::programs::MstApproxProgram) | per-wave [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) (batched) |
-//! | `mincut`       | Thm C.3 | [`MinCutProgram`](crate::programs::MinCutProgram) | |
-//! | `mincut-approx` | Thm C.4 | [`MinCutApproxProgram`](crate::programs::MinCutApproxProgram) | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex), plus fallback pass (batched) |
-//! | `mis`          | Thm C.6 | [`MisProgram`](crate::programs::MisProgram) | |
-//! | `coloring`     | Thm C.7 | [`ColoringProgram`](crate::programs::ColoringProgram) | |
+//! | `mst-approx`   | Thm C.2 | [`MstApproxProgram`] | per-wave [`MstApproxWave`], [batched](MixedWave::batched) |
+//! | `mincut`       | Thm C.3 | [`MinCutProgram`] | |
+//! | `mincut-approx` | Thm C.4 | [`MinCutApproxProgram`] | per-guess [`MinCutGuessWave`], [batched](MixedWave::batched) with a retire controller, plus fallback pass |
+//! | `mis`          | Thm C.6 | [`MisProgram`] | |
+//! | `coloring`     | Thm C.7 | [`ColoringProgram`] | |
 
 use crate::combinators::Driven;
 use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::MachineProgram;
-use crate::mixed::{downcast_program, erase, ErasedProgram};
-use crate::multiplex::{CapacityFactor, Multiplexed};
+use crate::mixed::{downcast_program, erase, ErasedProgram, MixedLane, MixedWave};
 use crate::programs::{
     BoruvkaProgram, ColoringProgram, ConnectivityProgram, GuessOutcome, MatchingProgram,
     MinCutApproxProgram, MinCutGuessWave, MinCutProgram, MisProgram, MstApproxProgram,
@@ -78,8 +77,8 @@ pub struct JobParams {
     /// Approximation parameter ε for `mincut-approx` and `mst-approx`.
     pub epsilon: f64,
     /// Whether the sequentialized-parallel workloads (`spanner-weighted`,
-    /// `mst-approx`, `mincut-approx`) interleave their instances through
-    /// the [multi-program scheduler](crate::multiplex) (the default), or
+    /// `mst-approx`, `mincut-approx`) interleave their instances as the
+    /// lanes of one [batched wave](MixedWave::batched) (the default), or
     /// run them one after another (the composition kept as the
     /// equivalence oracle — see [`JobParams::sequential_instances`]).
     /// Affects solo runs only: a [service](crate::service) lane always
@@ -105,8 +104,7 @@ impl Default for JobParams {
 
 impl JobParams {
     /// Runs the sequentialized-parallel workloads one instance at a time
-    /// (the equivalence oracle) instead of batching them through the
-    /// multi-program scheduler.
+    /// (the equivalence oracle) instead of batching them into one wave.
     pub fn sequential_instances(mut self) -> Self {
         self.batch_instances = false;
         self
@@ -583,7 +581,6 @@ impl Algorithm {
     /// has checked the parameters ([`Algorithm::check`]) and the cluster
     /// shape ([`large_machine`]).
     ///
-    /// [`MixedWave`]: crate::MixedWave
     pub(crate) fn lane(&self, spec: &JobSpec, cluster: &Cluster) -> Recipe<Lane> {
         // The constructors snapshot solo capacities.
         debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
@@ -645,7 +642,7 @@ fn loglog(n: usize) -> u64 {
 
 // The three sequentialized-parallel workloads (`spanner-weighted`,
 // `mst-approx`, `mincut-approx`) run their paper-parallel instances
-// interleaved through the multi-program scheduler by default, so their
+// interleaved as the lanes of one batched wave by default, so their
 // round budgets are the theorems' *parallel* figures — flat constants,
 // independent of the instance count (weight classes, thresholds, λ̂
 // guesses). The sequential compositions survive behind
@@ -856,7 +853,7 @@ static ALGORITHMS: &[Algorithm] = &[
 ];
 
 /// The registry names whose paper-parallel instances run interleaved
-/// through the [multi-program scheduler](crate::multiplex) by default
+/// as the lanes of one [batched wave](MixedWave::batched) by default
 /// (and sequentially under [`AlgoInput::sequential_instances`]) — the
 /// single source of truth for the `budgets` collapse gate and the
 /// `hotpath` batched bench rows.
@@ -999,7 +996,7 @@ pub(crate) struct Wave<P, T = AlgoOutput> {
     pub(crate) extract: Box<dyn FnOnce(P) -> Result<T, ExecError>>,
 }
 
-/// A wave admitted into the service's [`MixedWave`](crate::MixedWave):
+/// A wave admitted into the service's [`MixedWave`]:
 /// erased lanes, and an extractor that downcasts the large machine's lane.
 pub(crate) type Lane = Wave<Box<dyn ErasedProgram>>;
 
@@ -1036,21 +1033,42 @@ impl<P: MachineProgram + 'static, T: 'static> Wave<P, T> {
         }
     }
 
-    /// The solo driver: one typed engine run (messages stay unboxed).
+    /// The solo driver: one typed engine run (messages stay unboxed),
+    /// returning the result and the rounds the run took.
     fn run(
         self,
         cluster: &mut Cluster,
         large: MachineId,
         mode: ExecMode,
         threads: usize,
-    ) -> Result<T, ExecError> {
+    ) -> Result<(T, u64), ExecError> {
         let mut outcome = {
             let mut scaled = CapacityFactor::scale(cluster, self.instances);
             Executor::new(self.label, mode)
                 .threads(threads)
                 .run(scaled.cluster(), self.programs)?
         };
-        (self.extract)(outcome.programs.swap_remove(large))
+        let result = (self.extract)(outcome.programs.swap_remove(large))?;
+        Ok((result, outcome.rounds))
+    }
+}
+
+impl<P: MachineProgram + 'static, T: 'static> Wave<MixedWave<P>, T> {
+    /// The paper-parallel instances `per_instance[i][mid]` as the lanes of
+    /// one [batched](MixedWave::batched) wave; `extract` reads the large
+    /// machine's lane programs in instance order.
+    fn batched(
+        label: &'static str,
+        cluster: &Cluster,
+        per_instance: Vec<Vec<P>>,
+        extract: impl FnOnce(Vec<P>) -> Result<T, ExecError> + 'static,
+    ) -> Self {
+        let instances = per_instance.len();
+        let programs = MixedWave::batched(cluster, per_instance);
+        let wave = Wave::new(label, programs, |coordinator: MixedWave<P>| {
+            extract(coordinator.into_programs())
+        });
+        Wave { instances, ..wave }
     }
 }
 
@@ -1076,7 +1094,7 @@ pub(crate) trait Drive {
         threads: usize,
     ) -> Result<AlgoOutput, ExecError>;
 
-    /// The lane driver: erase the programs for a [`MixedWave`](crate::MixedWave).
+    /// The lane driver: erase the programs for a [`MixedWave`].
     fn lane(self: Box<Self>) -> Lane;
 }
 
@@ -1093,6 +1111,7 @@ where
         threads: usize,
     ) -> Result<AlgoOutput, ExecError> {
         self.run(cluster, large, mode, threads)
+            .map(|(output, _)| output)
     }
 
     fn lane(self: Box<Self>) -> Lane {
@@ -1103,6 +1122,34 @@ where
             programs: self.programs.into_iter().map(erase).collect(),
             extract: Box::new(move |p| extract(downcast_program::<P>(p))),
         }
+    }
+}
+
+/// RAII wrapper for [`Cluster::set_capacity_factor`]: scales the cluster's
+/// capacities for a combined (batched) run and restores the solo factor of
+/// 1 on drop — including when the run panics, so a caller that catches the
+/// panic never observes a cluster with silently-disabled strict
+/// enforcement.
+struct CapacityFactor<'a> {
+    cluster: &'a mut Cluster,
+}
+
+impl<'a> CapacityFactor<'a> {
+    /// Applies `factor` (clamped to ≥ 1) for the guard's lifetime.
+    fn scale(cluster: &'a mut Cluster, factor: usize) -> Self {
+        cluster.set_capacity_factor(factor.max(1));
+        CapacityFactor { cluster }
+    }
+
+    /// The scaled cluster (borrow this for the combined run).
+    fn cluster(&mut self) -> &mut Cluster {
+        self.cluster
+    }
+}
+
+impl Drop for CapacityFactor<'_> {
+    fn drop(&mut self) {
+        self.cluster.set_capacity_factor(1);
     }
 }
 
@@ -1141,9 +1188,9 @@ fn spanner_wave(
 }
 
 /// Every factor-2 weight class of `edges` (the \[22\] reduction) as one
-/// [multiplexed](crate::multiplex) spanner wave — one spanner clock for
-/// all classes. The scheduler steps instances in class order, so each
-/// machine consumes its RNG stream class-major, exactly as
+/// [batched](MixedWave::batched) spanner wave — one spanner clock for all
+/// classes. The lanes step in class order on each machine's one stream,
+/// so the RNG is consumed class-major, exactly as
 /// [`sequential_weighted_spanner`] does.
 fn weighted_spanner(
     cluster: &Cluster,
@@ -1162,20 +1209,19 @@ fn weighted_spanner(
         .iter()
         .map(|(_c, class_edges)| driven(SpannerProgram::for_cluster(cluster, n, class_edges, k)))
         .collect();
-    let instances = classes.shards.len();
-    let wave = Wave::new(
+    Wave::batched(
         "wspan",
-        Multiplexed::build(cluster, per_instance),
-        move |coordinator: Multiplexed<Driven<SpannerProgram>>| {
-            let results = coordinator
-                .into_programs()
+        cluster,
+        per_instance,
+        move |results: Vec<Driven<SpannerProgram>>| {
+            let results = results
                 .into_iter()
                 .map(|Driven(p)| halted(p.result))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(finish(merge_class_results(n, &classes, results)))
         },
-    );
-    Wave { instances, ..wave }.into()
+    )
+    .into()
 }
 
 // ---------------------------------------------------------------------------
@@ -1194,12 +1240,14 @@ fn sequential_weighted_spanner(
     threads: usize,
 ) -> Result<SpannerResult, ExecError> {
     mpc_core::spanner::weighted_by_classes(input.n, input.edges, |class_edges| {
-        spanner_wave(cluster, input.n, class_edges, k).run(cluster, large, mode, threads)
+        spanner_wave(cluster, input.n, class_edges, k)
+            .run(cluster, large, mode, threads)
+            .map(|(spanner, _)| spanner)
     })
 }
 
 /// `mst-approx` with every `(1+ε)^j` threshold wave interleaved in one
-/// [multiplexed](crate::multiplex) run — one 3-round sketch-connectivity
+/// [batched](MixedWave::batched) run — one 3-round sketch-connectivity
 /// wave for all thresholds (the paper's parallel figure). The per-wave
 /// sketch seeds are pre-drawn host-side from the large machine's stream in
 /// ascending threshold order — the sequential program's draw order — so
@@ -1241,17 +1289,14 @@ fn batched_mst_approx(
                 .collect()
         })
         .collect();
-    let muxed = Multiplexed::build(cluster, per_instance);
-    let outcome = {
-        let mut scaled = CapacityFactor::scale(cluster, thresholds.len());
-        Executor::new("xmst", mode)
-            .threads(threads)
-            .run(scaled.cluster(), muxed)
-    }?;
-    let coordinator = &outcome.programs[large];
-    let component_counts = (0..thresholds.len())
-        .map(|i| halted(coordinator.instance(i).0.count))
-        .collect::<Result<Vec<usize>, _>>()?;
+    let counts = |waves: Vec<Driven<MstApproxWave>>| {
+        waves
+            .into_iter()
+            .map(|Driven(w)| halted(w.count))
+            .collect::<Result<Vec<usize>, _>>()
+    };
+    let (component_counts, parallel_rounds) =
+        Wave::batched("xmst", cluster, per_instance, counts).run(cluster, large, mode, threads)?;
     let estimate = mpc_core::ported::mst_approx::estimate_from_counts(
         n,
         w_max,
@@ -1262,12 +1307,12 @@ fn batched_mst_approx(
         estimate,
         thresholds,
         component_counts,
-        parallel_rounds: outcome.rounds,
+        parallel_rounds,
     }))
 }
 
 /// `mincut-approx` with every geometric λ̂ guess interleaved in one
-/// [multiplexed](crate::multiplex) run — one 4-round wave for all guesses
+/// [batched](MixedWave::batched) run — one 4-round wave for all guesses
 /// (the paper's parallel figure). Small machines sample the guesses in
 /// guess order within the first combined round (the single-wave form's
 /// per-machine draw order, so every guess's skeleton is bit-identical);
@@ -1299,38 +1344,33 @@ fn batched_mincut_approx(
                 .collect()
         })
         .collect();
-    let mut muxed = Multiplexed::build(cluster, per_instance);
+    let mut wave = Wave::batched("xcut", cluster, per_instance, |lanes| {
+        Ok(lanes
+            .into_iter()
+            .map(|Driven(g)| g.outcome)
+            .collect::<Vec<_>>())
+    });
     // Early-exit controller on the coordinator: the first guess to
     // overflow its skeleton budget retires every finer guess — their
     // staged `Ship` commands are discarded before they leave the machine,
     // so retired guesses contribute zero traffic to later combined rounds.
-    let coordinator = muxed.remove(large).with_controller(Arc::new(|_ctx, slots| {
-        if let Some(j) = slots
-            .iter()
-            .position(|s| matches!(s.program.0.outcome, Some(GuessOutcome::OverBudget)))
-        {
-            for slot in &mut slots[j + 1..] {
-                if !slot.is_retired() {
-                    slot.retire();
-                }
+    wave.programs[large].set_controller(Arc::new(
+        |_ctx, lanes: &mut [MixedLane<Driven<MinCutGuessWave>>]| {
+            if let Some(j) = lanes
+                .iter()
+                .position(|l| matches!(l.program.0.outcome, Some(GuessOutcome::OverBudget)))
+            {
+                lanes[j + 1..].iter_mut().for_each(MixedLane::retire);
             }
-        }
-    }));
-    muxed.insert(large, coordinator);
-    let outcome = {
-        let mut scaled = CapacityFactor::scale(cluster, guesses.len());
-        Executor::new("xcut", mode)
-            .threads(threads)
-            .run(scaled.cluster(), muxed)
-    }?;
-    let parallel_rounds = outcome.rounds;
+        },
+    ));
+    let (outcomes, parallel_rounds) = wave.run(cluster, large, mode, threads)?;
 
     // The largest-first scan over the per-guess verdicts: the first
     // over-budget guess aborts to the fallback, the first concentrated
     // estimate wins, anything else keeps scanning.
-    let coordinator = &outcome.programs[large];
-    for (i, &guess) in guesses.iter().enumerate() {
-        match &coordinator.instance(i).0.outcome {
+    for (outcome, &guess) in outcomes.into_iter().zip(&guesses) {
+        match outcome {
             // Over budget, or retired behind an over-budget guess.
             None | Some(GuessOutcome::OverBudget) => break,
             Some(GuessOutcome::Judged {
@@ -1340,9 +1380,9 @@ fn batched_mincut_approx(
                 SkeletonVerdict::Disconnected | SkeletonVerdict::NotConcentrated => continue,
                 SkeletonVerdict::Estimate(estimate) => {
                     return Ok(AlgoOutput::MinCutApprox(ApproxMinCut {
-                        estimate: *estimate,
+                        estimate,
                         lambda_guess: guess,
-                        skeleton_edges: *skeleton_edges,
+                        skeleton_edges,
                         parallel_rounds,
                     }));
                 }
@@ -1356,15 +1396,13 @@ fn batched_mincut_approx(
         .iter()
         .map(|shard| Driven(XCutFallback::new(n, shard.clone())))
         .collect();
-    let mut fb = Executor::new("xcut-fb", mode)
-        .threads(threads)
-        .run(cluster, programs)?;
-    let (estimate, m) = halted(fb.programs.swap_remove(large).0.result)?;
+    let ((estimate, m), fb_rounds) = Wave::new("xcut-fb", programs, |Driven(p)| halted(p.result))
+        .run(cluster, large, mode, threads)?;
     Ok(AlgoOutput::MinCutApprox(ApproxMinCut {
         estimate,
         lambda_guess: 1,
         skeleton_edges: m,
-        parallel_rounds: parallel_rounds + fb.rounds,
+        parallel_rounds: parallel_rounds + fb_rounds,
     }))
 }
 

@@ -13,7 +13,7 @@
 //! Determinism: admission decisions depend only on (round, queue order,
 //! lane halt votes, inbox tags) — all bit-identical between serial and
 //! pool execution — and each job's lanes draw from private
-//! [`machine_rng`](mpc_runtime::machine_rng) streams minted from the job's
+//! [`machine_rng`] streams minted from the job's
 //! seed. The same submission sequence therefore yields the same admission
 //! rounds, round log, and results in every mode, and each job's output is
 //! bit-identical to a solo [`registry::run_job`] on a fresh cluster
@@ -143,31 +143,33 @@ pub struct ServiceRun {
 // Internals
 // ---------------------------------------------------------------------------
 
-struct QueuedJob {
+/// A submitted job. It moves between the queue and the wave whole, so a
+/// quarantined job can be resubmitted (its lanes are rebuilt from scratch
+/// on re-admission).
+struct Job {
     id: u64,
     algo: &'static Algorithm,
     spec: JobSpec,
     state: Arc<Mutex<JobState>>,
-    /// The attempt the next admission will consume (1-based).
+    /// Capacity shares the job holds while running ([`derived_shares`]).
+    shares: usize,
+    /// The admission attempt the job consumes next, or is running under
+    /// (1-based).
     attempt: u32,
     /// Earliest service round the job may be admitted (linear backoff
     /// after a quarantine; 0 for first-time submissions).
     earliest: u64,
+    /// Service round of the job's latest admission.
+    admitted_round: u64,
 }
 
+const LANE: &str = "a running job has a lane on every machine";
+
+/// An admitted job and the reader of its result.
 struct RunningJob {
-    id: u64,
-    algo: &'static Algorithm,
-    shares: usize,
-    admitted_round: u64,
-    state: Arc<Mutex<JobState>>,
+    job: Job,
     /// Reads the result off the large machine's finished lane.
     extract: Box<dyn FnOnce(Box<dyn ErasedProgram>) -> Result<AlgoOutput, ExecError>>,
-    /// The full spec, kept so a quarantined job can be resubmitted (its
-    /// lanes are rebuilt from scratch on re-admission).
-    spec: JobSpec,
-    /// The admission attempt this incarnation consumed (1-based).
-    attempt: u32,
 }
 
 /// The capacity shares a job occupies while running: its explicit
@@ -194,91 +196,95 @@ fn derived_shares(spec: &JobSpec) -> usize {
     }
 }
 
-/// Marks a job finished: flips its handle state, appends its record, and
-/// emits the [`TraceEvent::JobCompleted`] instant.
-#[allow(clippy::too_many_arguments)]
-fn finish_job(
-    cluster: &Cluster,
-    records: &mut Vec<JobRecord>,
-    id: u64,
-    name: String,
-    shares: usize,
-    admitted_round: u64,
-    state: &Arc<Mutex<JobState>>,
-    round: u64,
-    attempts: u32,
-    result: Result<AlgoOutput, ExecError>,
-) {
-    let failed = result.is_err();
-    {
-        let mut s = state.lock().unwrap();
-        s.status = match &result {
+impl Job {
+    /// Marks the job finished with `result`: flips its handle state,
+    /// appends its record, and emits the [`TraceEvent::JobCompleted`]
+    /// instant.
+    fn finish(
+        &self,
+        cluster: &Cluster,
+        records: &mut Vec<JobRecord>,
+        round: u64,
+        result: Result<AlgoOutput, ExecError>,
+    ) {
+        let status = match &result {
             Ok(_) => JobStatus::Completed,
             Err(e) => JobStatus::Failed { error: e.clone() },
         };
-        s.result = Some(result);
+        let failed = result.is_err();
+        self.close(records, round, status, result);
+        if let Some(sink) = cluster.trace_sink() {
+            sink.record(&TraceEvent::JobCompleted {
+                round,
+                job: self.id,
+                rounds: round - self.admitted_round,
+                failed,
+            });
+        }
     }
-    let rounds = round - admitted_round;
-    records.push(JobRecord {
-        job: id,
-        name,
-        shares,
-        admitted_round,
-        completed_round: round,
-        rounds,
-        failed,
-        attempts,
-    });
-    if let Some(sink) = cluster.trace_sink() {
-        sink.record(&TraceEvent::JobCompleted {
-            round,
-            job: id,
-            rounds,
+
+    /// Marks the job terminally failed *without* result extraction — the
+    /// quarantine path's exit (retry exhaustion, a zero-attempt policy, or
+    /// a missed deadline). Emits [`TraceEvent::JobFailed`] instead of
+    /// `JobCompleted`: the job's lanes never finished, they were pulled.
+    fn fail(
+        &self,
+        cluster: &Cluster,
+        records: &mut Vec<JobRecord>,
+        round: u64,
+        status: JobStatus,
+        error: ExecError,
+    ) {
+        if let Some(sink) = cluster.trace_sink() {
+            sink.record(&TraceEvent::JobFailed {
+                round,
+                job: self.id,
+                error: error.to_string(),
+            });
+        }
+        self.close(records, round, status, Err(error));
+    }
+
+    fn close(
+        &self,
+        records: &mut Vec<JobRecord>,
+        round: u64,
+        status: JobStatus,
+        result: Result<AlgoOutput, ExecError>,
+    ) {
+        let failed = result.is_err();
+        {
+            let mut s = self.state.lock().unwrap();
+            s.status = status;
+            s.result = Some(result);
+        }
+        records.push(JobRecord {
+            job: self.id,
+            name: self.spec.name.clone(),
+            shares: self.shares,
+            admitted_round: self.admitted_round,
+            completed_round: round,
+            rounds: round - self.admitted_round,
             failed,
+            attempts: self.attempt,
         });
     }
 }
 
-/// Marks a job terminally failed *without* result extraction — the
-/// quarantine path's exit (retry exhaustion, a zero-attempt policy, or a
-/// missed deadline). Emits [`TraceEvent::JobFailed`] instead of
-/// `JobCompleted`: the job's lanes never retired, they were pulled.
-#[allow(clippy::too_many_arguments)]
-fn fail_job(
-    cluster: &Cluster,
-    records: &mut Vec<JobRecord>,
-    id: u64,
-    name: String,
-    shares: usize,
-    admitted_round: u64,
-    state: &Arc<Mutex<JobState>>,
-    round: u64,
-    attempts: u32,
-    status: JobStatus,
-    error: ExecError,
-) {
-    if let Some(sink) = cluster.trace_sink() {
-        sink.record(&TraceEvent::JobFailed {
-            round,
-            job: id,
-            error: error.to_string(),
-        });
+impl RunningJob {
+    /// Reads the result off the job's lanes (one per machine, in machine
+    /// order) and marks the job finished.
+    fn complete(
+        self,
+        cluster: &Cluster,
+        records: &mut Vec<JobRecord>,
+        large: usize,
+        round: u64,
+        mut lanes: Vec<Box<dyn ErasedProgram>>,
+    ) {
+        let result = (self.extract)(lanes.swap_remove(large));
+        self.job.finish(cluster, records, round, result);
     }
-    {
-        let mut s = state.lock().unwrap();
-        s.status = status;
-        s.result = Some(Err(error));
-    }
-    records.push(JobRecord {
-        job: id,
-        name,
-        shares,
-        admitted_round,
-        completed_round: round,
-        rounds: round - admitted_round,
-        failed: true,
-        attempts,
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +317,7 @@ pub struct Service {
     max_rounds: u64,
     threads: usize,
     next_id: u64,
-    queue: VecDeque<QueuedJob>,
+    queue: VecDeque<Job>,
 }
 
 impl Service {
@@ -375,13 +381,15 @@ impl Service {
             name: spec.name.clone(),
             state: Arc::clone(&state),
         };
-        self.queue.push_back(QueuedJob {
+        self.queue.push_back(Job {
             id,
             algo,
+            shares: derived_shares(&spec),
             spec,
             state,
             attempt: 1,
             earliest: 0,
+            admitted_round: 0,
         });
         Ok(handle)
     }
@@ -429,15 +437,15 @@ impl Service {
     ///
     /// # Failure isolation (DESIGN.md §2.9)
     ///
-    /// A [quarantinable](Self::quarantinable) engine error does not abort
-    /// the run. The service attributes it to the *marginal tenant* — the
-    /// most recently admitted running job (ties broken toward the higher
-    /// id) — quarantines that job, refunds its capacity shares, restarts
-    /// the wave, and requeues the survivors at the front of the queue in
-    /// their original order. The quarantined job is resubmitted with
-    /// linear backoff while its [`JobRetryPolicy`](crate::JobRetryPolicy)
-    /// has attempts left, and otherwise completes as
-    /// [`JobStatus::Failed`] with the typed error. Survivors' results are
+    /// An engine error attributable to one tenant (a capacity violation or
+    /// an unrecoverable crash) does not abort the run. The service
+    /// attributes it to the *marginal tenant* — the most recently admitted
+    /// running job (ties broken toward the higher id) — quarantines that
+    /// job, refunds its capacity shares, restarts the wave, and requeues
+    /// the survivors at the front of the queue in their original order.
+    /// The quarantined job is resubmitted with linear backoff while its
+    /// [`JobRetryPolicy`](crate::JobRetryPolicy) has attempts left, and
+    /// otherwise completes as [`JobStatus::Failed`] with the typed error. Survivors' results are
     /// bit-identical to a run that never contained the culprit: every
     /// lane draws only from its job's private RNG streams, so a rebuilt
     /// lane replays exactly.
@@ -505,83 +513,56 @@ impl Service {
                     // under fault plans.
                     let mut i = 0;
                     while i < running.len() {
-                        let job = running[i].id;
+                        let id = running[i].job.id;
                         let done = (0..machines).all(|mid| {
                             view.peek(mid, |wave, inbox| {
-                                wave.lane_idle(job) && !inbox.iter().any(|(_, m)| m.job == job)
+                                wave.lane_idle(id) && !inbox.iter().any(|(_, m)| m.tag == id)
                             })
                         });
                         if !done {
                             i += 1;
                             continue;
                         }
-                        let rj = running.remove(i);
-                        let mut lanes: Vec<_> = (0..machines)
-                            .map(|mid| {
-                                view.with(mid, |wave| {
-                                    wave.remove(job)
-                                        .expect("a running job has a lane on every machine")
-                                })
-                            })
+                        let lanes = (0..machines)
+                            .map(|mid| view.with(mid, |wave| wave.remove(id)).expect(LANE))
                             .collect();
-                        let outcome = (rj.extract)(lanes.swap_remove(large));
-                        finish_job(
-                            cluster,
-                            records,
-                            rj.id,
-                            rj.spec.name.clone(),
-                            rj.shares,
-                            rj.admitted_round,
-                            &rj.state,
-                            round,
-                            rj.attempt,
-                            outcome,
-                        );
+                        running
+                            .remove(i)
+                            .complete(cluster, records, large, round, lanes);
                     }
 
                     // 2. Deadlines: a job still running `round_deadline`
                     // rounds past admission is cancelled through the
-                    // quarantine path — lanes pulled, in-flight mail
+                    // quarantine path — lanes retired, in-flight mail
                     // purged, shares refunded so the queue behind it can
                     // admit this same round. Terminal: no retry.
                     let mut i = 0;
                     while i < running.len() {
-                        let over = running[i]
+                        let job = &running[i].job;
+                        let Some(deadline) = job
                             .spec
                             .round_deadline
-                            .is_some_and(|d| round - running[i].admitted_round >= d);
-                        if !over {
+                            .filter(|&d| round - job.admitted_round >= d)
+                        else {
                             i += 1;
                             continue;
-                        }
-                        let rj = running.remove(i);
-                        let deadline = rj.spec.round_deadline.expect("checked above");
+                        };
+                        let job = running.remove(i).job;
                         for mid in 0..machines {
                             view.with_mail(mid, |wave, inbox| {
-                                wave.quarantine(rj.id);
-                                inbox.retain(|(_, m)| m.job != rj.id);
+                                wave.retire(job.id);
+                                inbox.retain(|(_, m)| m.tag != job.id);
                             });
                         }
                         if let Some(sink) = cluster.trace_sink() {
                             sink.record(&TraceEvent::JobQuarantined {
                                 round,
-                                job: rj.id,
+                                job: job.id,
                                 reason: "deadline".into(),
                             });
                         }
-                        fail_job(
-                            cluster,
-                            records,
-                            rj.id,
-                            rj.spec.name.clone(),
-                            rj.shares,
-                            rj.admitted_round,
-                            &rj.state,
-                            round,
-                            rj.attempt,
-                            JobStatus::DeadlineExceeded,
-                            ExecError::RoundLimit { limit: deadline },
-                        );
+                        let error = ExecError::RoundLimit { limit: deadline };
+                        job.fail(cluster, records, round, JobStatus::DeadlineExceeded, error);
                     }
 
                     // 3. Admission: strict FIFO while shares fit, with
@@ -601,81 +582,48 @@ impl Service {
                         // surviving tenants' round log is bit-identical
                         // to a queue that never contained this job.
                         if front.spec.retry.max_attempts == 0 {
-                            let qj = queue.pop_front().expect("front was just inspected");
-                            let shares = derived_shares(&qj.spec);
-                            fail_job(
-                                cluster,
-                                records,
-                                qj.id,
-                                qj.spec.name.clone(),
-                                shares,
-                                round,
-                                &qj.state,
-                                round,
-                                0,
-                                JobStatus::Failed {
-                                    error: ExecError::Algorithm {
-                                        message: "retry policy allows zero admission attempts"
-                                            .into(),
-                                    },
-                                },
-                                ExecError::Algorithm {
-                                    message: "retry policy allows zero admission attempts".into(),
-                                },
-                            );
+                            let mut job = queue.pop_front().expect("front was just inspected");
+                            (job.attempt, job.admitted_round) = (0, round);
+                            let error = ExecError::Algorithm {
+                                message: "retry policy allows zero admission attempts".into(),
+                            };
+                            let status = JobStatus::Failed {
+                                error: error.clone(),
+                            };
+                            job.fail(cluster, records, round, status, error);
                             continue;
                         }
-                        let shares = derived_shares(&front.spec);
-                        let held: usize = running.iter().map(|r| r.shares).sum();
+                        let held: usize = running.iter().map(|r| r.job.shares).sum();
+                        let shares = front.shares;
                         if held + shares > limit && !(running.is_empty() && shares > limit) {
                             break;
                         }
-                        let qj = queue.pop_front().expect("front was just inspected");
+                        let mut job = queue.pop_front().expect("front was just inspected");
+                        job.admitted_round = round;
                         if let Some(sink) = cluster.trace_sink() {
                             sink.record(&TraceEvent::JobAdmitted {
                                 round,
-                                job: qj.id,
-                                name: qj.spec.name.clone(),
+                                job: job.id,
+                                name: job.spec.name.clone(),
                                 shares,
                             });
                         }
-                        match qj.algo.lane(&qj.spec, cluster) {
+                        match job.algo.lane(&job.spec, cluster) {
                             Recipe::Done(output) => {
-                                finish_job(
-                                    cluster,
-                                    records,
-                                    qj.id,
-                                    qj.spec.name.clone(),
-                                    shares,
-                                    round,
-                                    &qj.state,
-                                    round,
-                                    qj.attempt,
-                                    Ok(*output),
-                                );
+                                job.finish(cluster, records, round, Ok(*output))
                             }
                             Recipe::Wave(lane) => {
-                                qj.state.lock().unwrap().status = JobStatus::Running;
+                                job.state.lock().unwrap().status = JobStatus::Running;
                                 for (mid, program) in lane.programs.into_iter().enumerate() {
+                                    let rng = machine_rng(job.spec.seed, mid);
                                     view.with(mid, |wave| {
-                                        wave.admit(
-                                            qj.id,
-                                            program,
-                                            machine_rng(qj.spec.seed, mid),
-                                            view.round(),
-                                        );
+                                        wave.admit(job.id, program, rng, view.round());
                                     });
                                     view.wake(mid);
                                 }
                                 running.push(RunningJob {
-                                    id: qj.id,
-                                    algo: qj.algo,
-                                    shares,
-                                    admitted_round: round,
-                                    state: qj.state,
+                                    job,
                                     extract: lane.extract,
-                                    spec: qj.spec,
-                                    attempt: qj.attempt,
                                 });
                             }
                         }
@@ -684,7 +632,7 @@ impl Service {
                     // 4. The live capacity factor tracks the running
                     // total, so strict enforcement scales with the
                     // tenants on the wire.
-                    let held: usize = running.iter().map(|r| r.shares).sum();
+                    let held: usize = running.iter().map(|r| r.job.shares).sum();
                     cluster.set_capacity_factor(held.max(1));
                     Ok(!queue.is_empty())
                 };
@@ -700,7 +648,7 @@ impl Service {
                 // Not attributable to one tenant: admitted lanes died
                 // with the run; queued jobs survive in the service queue.
                 for rj in running.drain(..) {
-                    rj.state.lock().unwrap().status = JobStatus::Failed { error: e.clone() };
+                    rj.job.state.lock().unwrap().status = JobStatus::Failed { error: e.clone() };
                 }
                 self.queue = queue;
                 return Err(e);
@@ -712,13 +660,9 @@ impl Service {
             // the survivors requeued at the front in their original
             // admission order.
             let round = base + Self::error_round(&e).unwrap_or_else(|| last_hook.get());
-            let at = running
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, r)| (r.admitted_round, r.id))
-                .map(|(i, _)| i)
-                .expect("running is non-empty");
-            let culprit = running.remove(at);
+            let mut jobs: Vec<Job> = running.drain(..).map(|r| r.job).collect();
+            jobs.sort_by_key(|j| (j.admitted_round, j.id));
+            let mut culprit = jobs.pop().expect("running is non-empty");
             if let Some(sink) = cluster.trace_sink() {
                 sink.record(&TraceEvent::JobQuarantined {
                     round,
@@ -726,64 +670,33 @@ impl Service {
                     reason: e.to_string(),
                 });
             }
-
-            let mut survivors: Vec<RunningJob> = std::mem::take(&mut running);
-            survivors.sort_by_key(|r| (r.admitted_round, r.id));
-            let survivor_count = survivors.len();
-            for rj in survivors.into_iter().rev() {
-                rj.state.lock().unwrap().status = JobStatus::Queued;
-                queue.push_front(QueuedJob {
-                    id: rj.id,
-                    algo: rj.algo,
-                    spec: rj.spec,
-                    state: rj.state,
-                    attempt: rj.attempt,
-                    earliest: 0,
-                });
+            let survivor_count = jobs.len();
+            for job in jobs.into_iter().rev() {
+                job.state.lock().unwrap().status = JobStatus::Queued;
+                queue.push_front(job);
             }
 
             if culprit.attempt < culprit.spec.retry.max_attempts {
                 // Linear backoff: failure k (1-based) delays re-admission
                 // by k * backoff_rounds service rounds.
-                let attempt = culprit.attempt + 1;
-                let earliest =
+                culprit.earliest =
                     round + u64::from(culprit.attempt) * culprit.spec.retry.backoff_rounds;
+                culprit.attempt += 1;
                 if let Some(sink) = cluster.trace_sink() {
                     sink.record(&TraceEvent::JobRetried {
                         round,
                         job: culprit.id,
-                        attempt: u64::from(attempt),
+                        attempt: u64::from(culprit.attempt),
                     });
                 }
                 culprit.state.lock().unwrap().status = JobStatus::Queued;
                 // Directly behind the requeued survivors, ahead of
                 // never-admitted jobs: the formerly-running cohort drains
                 // before the queue's tail, in its original order.
-                queue.insert(
-                    survivor_count,
-                    QueuedJob {
-                        id: culprit.id,
-                        algo: culprit.algo,
-                        spec: culprit.spec,
-                        state: culprit.state,
-                        attempt,
-                        earliest,
-                    },
-                );
+                queue.insert(survivor_count, culprit);
             } else {
-                fail_job(
-                    cluster,
-                    &mut records,
-                    culprit.id,
-                    culprit.spec.name.clone(),
-                    culprit.shares,
-                    culprit.admitted_round,
-                    &culprit.state,
-                    round,
-                    culprit.attempt,
-                    JobStatus::Failed { error: e.clone() },
-                    e.clone(),
-                );
+                let status = JobStatus::Failed { error: e.clone() };
+                culprit.fail(cluster, &mut records, round, status, e);
             }
 
             // The crashed wave may have left machines quarantined in the
@@ -799,32 +712,19 @@ impl Service {
         // Jobs that halted in the final round never saw another hook call;
         // their lanes sit in the returned wave states.
         let mut waves = outcome.programs;
+        let round = base + outcome.rounds;
         for rj in running.drain(..) {
-            let mut lanes: Vec<_> = waves
+            let id = rj.job.id;
+            let lanes = waves
                 .iter_mut()
-                .map(|wave| {
-                    wave.remove(rj.id)
-                        .expect("a running job has a lane on every machine")
-                })
+                .map(|w| w.remove(id).expect(LANE))
                 .collect();
-            let job_outcome = (rj.extract)(lanes.swap_remove(large));
-            finish_job(
-                cluster,
-                &mut records,
-                rj.id,
-                rj.spec.name.clone(),
-                rj.shares,
-                rj.admitted_round,
-                &rj.state,
-                base + outcome.rounds,
-                rj.attempt,
-                job_outcome,
-            );
+            rj.complete(cluster, &mut records, large, round, lanes);
         }
 
         records.sort_by_key(|r| r.job);
         Ok(ServiceRun {
-            rounds: base + outcome.rounds,
+            rounds: round,
             records,
         })
     }

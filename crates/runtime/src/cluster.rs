@@ -76,7 +76,7 @@ pub struct Cluster {
     caps: Vec<usize>,
     /// Combined-round capacity multiplier (see
     /// [`set_capacity_factor`](Cluster::set_capacity_factor)); 1 outside
-    /// multiplexed runs.
+    /// batched and service waves.
     cap_factor: usize,
     large: Option<MachineId>,
     rngs: Vec<SmallRng>,
@@ -286,8 +286,8 @@ impl Cluster {
         self.caps[mid].saturating_mul(self.cap_factor)
     }
 
-    /// Scales every capacity check by `factor` — the multi-program
-    /// scheduler's combined-round budget. When `N` independent program
+    /// Scales every capacity check by `factor` — the combined-round budget
+    /// of a wave (`mpc_exec::MixedWave`). When `N` independent program
     /// instances are interleaved into one bulk-synchronous run, a physical
     /// round carries the union of the live instances' traffic, and each
     /// instance legitimately commands its *own* per-round word budget (the

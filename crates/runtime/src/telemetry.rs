@@ -35,7 +35,7 @@ use std::sync::Mutex;
 /// One telemetry event. Variants cover the three layers of the stack:
 /// cluster rounds (`RoundBegin`/`MachineRound`/`RoundEnd`/`Violation`),
 /// the driver's stepping schedule (`StepSchedule`), the pool's workers
-/// (`WorkerRound`), and the multi-program scheduler's instance lifecycle
+/// (`WorkerRound`), and the wave scheduler's lane lifecycle
 /// (`MuxRound`/`InstanceRetired`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -67,7 +67,7 @@ pub enum TraceEvent {
         /// the barrier wait).
         seconds: f64,
         /// Capacity in effect for this round's checks (scaled by the
-        /// combined-round factor during multiplexed runs).
+        /// combined-round factor during batched and service waves).
         capacity: usize,
     },
     /// An exchange round closed with its aggregate accounting.
@@ -130,25 +130,26 @@ pub enum TraceEvent {
         /// Host nanoseconds spent in the claim loop (stepping + skipping).
         busy_ns: u64,
     },
-    /// Per-machine instance attribution of a multiplexed (batched) round.
+    /// Per-machine lane attribution of a wave round (`mpc_exec::MixedWave`;
+    /// batched instances and service jobs alike).
     MuxRound {
         /// Driver round index.
         round: u64,
         /// The machine.
         machine: MachineId,
-        /// Instances that stepped on this machine this round.
+        /// Lanes that stepped on this machine this round.
         live: usize,
-        /// Instances retired on this machine so far.
+        /// Lanes retired on this machine so far.
         retired: usize,
     },
-    /// A multiplexed instance was retired by a controller on this machine
+    /// A wave lane was retired by a controller on this machine
     /// (force-halted; its staged outbox was discarded).
     InstanceRetired {
         /// Driver round index.
         round: u64,
         /// The machine whose controller retired the instance.
         machine: MachineId,
-        /// The retired instance's id.
+        /// The retired lane's tag (its instance index in a batched wave).
         instance: u32,
     },
     /// A queued job was admitted into the running mixed wave by the
@@ -994,10 +995,10 @@ const TID_ROUNDS: u64 = 1_000_000;
 /// Exports events as a Chrome-trace/Perfetto JSON document (load at
 /// <https://ui.perfetto.dev> or `chrome://tracing`).
 ///
-/// Layout: process [`PID_MACHINES`] carries one track per simulated
+/// Layout: process 1 carries one track per simulated
 /// machine (slice = that machine's cost-model duration per round, on the
 /// simulated timeline, µs = simulated seconds × 10⁶) plus one
-/// whole-round track; process [`PID_WORKERS`] carries one track per pool
+/// whole-round track; process 2 carries one track per pool
 /// worker with alternating `barrier-wait` / `round` slices on the host
 /// timeline. Instance retirements and violations appear as instant
 /// events on the owning track.
