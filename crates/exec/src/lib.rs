@@ -67,3 +67,37 @@ pub use programs::{
 pub use registry::{AlgoInput, AlgoOutput, Algorithm, JobParams, JobRetryPolicy, JobSpec};
 pub use report::{CriticalPath, MachineLoad, RecoveryBreakdown, RunReport};
 pub use service::{JobHandle, JobRecord, JobStatus, Service, ServiceRun};
+
+/// Multiplexing: independent instances run as the lanes of one
+/// [`MixedWave`](mixed::MixedWave) match their solo runs, each under both
+/// lane RNG-stream policies. The fixture lives in `mixed`'s tests.
+#[cfg(test)]
+mod multiplex {
+    mod tests {
+        use crate::mixed::tests::{
+            halted_lanes_reactivate_on_tagged_mail, lanes_match_solo_runs,
+            retired_lanes_contribute_zero_traffic_to_later_rounds, Policy,
+        };
+
+        const POLICIES: [Policy; 2] = [Policy::Shared, Policy::Private];
+
+        #[test]
+        fn multiplexed_instances_match_solo_runs() {
+            POLICIES.into_iter().for_each(lanes_match_solo_runs);
+        }
+
+        #[test]
+        fn retired_instances_contribute_zero_traffic_to_later_rounds() {
+            POLICIES
+                .into_iter()
+                .for_each(retired_lanes_contribute_zero_traffic_to_later_rounds);
+        }
+
+        #[test]
+        fn halted_instances_reactivate_on_tagged_mail() {
+            POLICIES
+                .into_iter()
+                .for_each(halted_lanes_reactivate_on_tagged_mail);
+        }
+    }
+}

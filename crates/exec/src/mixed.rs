@@ -552,8 +552,10 @@ impl<P: MachineProgram> MachineProgram for MixedWave<P> {
     }
 }
 
+/// The ping-pong fixture and the per-policy checks behind the
+/// `multiplex` tests in the crate root.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::Executor;
     use mpc_runtime::{machine_rng, ClusterConfig, Topology};
@@ -608,8 +610,10 @@ mod tests {
         )
     }
 
+    /// The two lane RNG-stream policies: [`MixedWave::batched`] lanes
+    /// share the machine stream, [`MixedWave::admit`] lanes own one.
     #[derive(Clone, Copy, Debug, PartialEq)]
-    enum Policy {
+    pub(crate) enum Policy {
         Shared,
         Private,
     }
@@ -660,7 +664,7 @@ mod tests {
     /// Every lane ends where its solo run ends: same traffic, and — per
     /// the policy — the same draws (private) or the same machine stream
     /// position as the sequential composition (shared).
-    fn lanes_match_solo_runs(policy: Policy) {
+    pub(crate) fn lanes_match_solo_runs(policy: Policy) {
         let budgets = [1u64, 3, 2];
         // Solo references: the shared policy replays the sequential
         // composition on one cluster (one stream, instance-major); the
@@ -712,7 +716,7 @@ mod tests {
         }
     }
 
-    fn retired_lanes_contribute_zero_traffic_to_later_rounds(policy: Policy) {
+    pub(crate) fn retired_lanes_contribute_zero_traffic_to_later_rounds(policy: Policy) {
         // The controller on machine 0 retires lane 1 after round 1,
         // discarding its staged outbox — so rounds ≥ 2 carry only lane
         // 0's traffic and lane 1's peer is never reactivated.
@@ -746,7 +750,7 @@ mod tests {
         assert!(lane(&out, 1, 1).received < lane(&out, 1, 0).received);
     }
 
-    fn halted_lanes_reactivate_on_tagged_mail(policy: Policy) {
+    pub(crate) fn halted_lanes_reactivate_on_tagged_mail(policy: Policy) {
         // Lane 0 finishes long before lane 1; the machine as a whole
         // must stay live and lane 1's late mail must still be delivered
         // (per-lane halt mirrors machine-level halt).
@@ -759,14 +763,5 @@ mod tests {
             "{policy:?}"
         );
         assert_eq!(lane(&out, 1, 1).received, 1 + 2 + 3 + 4 + 5, "{policy:?}");
-    }
-
-    #[test]
-    fn both_stream_policies_keep_solo_semantics() {
-        for policy in [Policy::Shared, Policy::Private] {
-            lanes_match_solo_runs(policy);
-            retired_lanes_contribute_zero_traffic_to_later_rounds(policy);
-            halted_lanes_reactivate_on_tagged_mail(policy);
-        }
     }
 }
